@@ -7,8 +7,8 @@
 // Usage: bench_ablation_anchor [table_size]
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "bench_report.h"
 #include "sim/workload.h"
 
 namespace {
@@ -60,8 +60,9 @@ Result<Row> RunOne(uint64_t table_size, double q, double churn,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const uint64_t table_size =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 5000;
+  snapdiff::bench::BenchArgs args(argc, argv, "[table_size]");
+  const uint64_t table_size = args.Size(5000);
+  args.Finish();
 
   std::printf(
       "=== Ablation A5: anchor optimization (payload-free gap anchors)\n"

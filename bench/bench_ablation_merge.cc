@@ -7,8 +7,8 @@
 // Usage: bench_ablation_merge [address_space] [ops_per_round]
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "bench_report.h"
 #include "common/random.h"
 #include "expr/parser.h"
 #include "snapshot/empty_region_table.h"
@@ -81,10 +81,10 @@ Status RunOne(uint64_t space, double fill, double q, size_t ops,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const uint64_t space =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 20000;
-  const size_t base_ops =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 500;
+  snapdiff::bench::BenchArgs args(argc, argv, "[address_space] [base_ops]");
+  const uint64_t space = args.Size(20000);
+  const size_t base_ops = args.Size(500);
+  args.Finish();
 
   std::printf(
       "=== Ablation A1: empty-region merging across unqualified entries\n"

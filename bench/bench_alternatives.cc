@@ -8,8 +8,8 @@
 // Usage: bench_alternatives [table_size]
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "bench_report.h"
 #include "sim/workload.h"
 
 namespace {
@@ -73,8 +73,9 @@ Result<Row> RunOne(uint64_t table_size, double u, uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const uint64_t table_size =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 5000;
+  snapdiff::bench::BenchArgs args(argc, argv, "[table_size]");
+  const uint64_t table_size = args.Size(5000);
+  args.Finish();
 
   std::printf(
       "=== Alternatives: differential vs log-based vs ASAP (q = 25%%, "

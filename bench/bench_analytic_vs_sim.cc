@@ -10,12 +10,15 @@
 #include <cstdlib>
 #include <map>
 
+#include "bench_report.h"
 #include "sim/experiment.h"
 
 int main(int argc, char** argv) {
   snapdiff::FigureExperimentConfig config;
-  config.table_size = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 8000;
-  config.trials = argc > 2 ? std::atoi(argv[2]) : 4;
+  snapdiff::bench::BenchArgs args(argc, argv, "[table_size] [trials]");
+  config.table_size = args.Size(8000);
+  config.trials = static_cast<int>(args.Size(4));
+  args.Finish();
   config.selectivities = {0.01, 0.05, 0.25, 0.50, 1.00};
   config.update_fractions = {0.01, 0.05, 0.10, 0.30, 0.60, 1.00};
   config.seed = 77;

@@ -6,8 +6,8 @@
 // Usage: bench_blocking [table_size] [update_fraction_percent]
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "bench_report.h"
 #include "sim/workload.h"
 
 namespace {
@@ -36,9 +36,11 @@ Result<ChannelStats> RunOne(uint64_t table_size, double u,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const uint64_t table_size =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 5000;
-  const double u = (argc > 2 ? std::atof(argv[2]) : 20.0) / 100.0;
+  snapdiff::bench::BenchArgs args(argc, argv,
+                                  "[table_size] [update_percent]");
+  const uint64_t table_size = args.Size(5000);
+  const double u = args.Number(20.0) / 100.0;
+  args.Finish();
 
   std::printf(
       "=== Ablation A3: blocking factor vs frames/wire bytes\n"

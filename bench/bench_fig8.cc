@@ -6,14 +6,16 @@
 // Usage: bench_fig8 [table_size] [trials]
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "bench_report.h"
 #include "sim/experiment.h"
 
 int main(int argc, char** argv) {
   snapdiff::FigureExperimentConfig config;
-  config.table_size = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 10000;
-  config.trials = argc > 2 ? std::atoi(argv[2]) : 3;
+  snapdiff::bench::BenchArgs args(argc, argv, "[table_size] [trials]");
+  config.table_size = args.Size(10000);
+  config.trials = static_cast<int>(args.Size(3));
+  args.Finish();
   config.selectivities = {0.25, 0.50, 0.75, 1.00};
   config.update_fractions = {0.0,  0.05, 0.10, 0.20, 0.30, 0.40,
                              0.50, 0.60, 0.70, 0.80, 0.90, 1.00};

@@ -8,8 +8,8 @@
 // Usage: bench_index_refresh [table_size]
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "bench_report.h"
 #include "sim/workload.h"
 #include "snapshot/secondary_index.h"
 
@@ -51,8 +51,9 @@ Result<Row> RunOne(uint64_t table_size, double q, double u, bool indexed,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const uint64_t table_size =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 10000;
+  snapdiff::bench::BenchArgs args(argc, argv, "[table_size]");
+  const uint64_t table_size = args.Size(10000);
+  args.Finish();
 
   std::printf(
       "=== Index-assisted full refresh vs sequential scan vs differential\n"

@@ -47,8 +47,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <shared_mutex>
 #include <string>
@@ -374,33 +372,16 @@ std::string RenderConfig(const ConfigResult& r, size_t rows) {
 }  // namespace snapdiff
 
 int main(int argc, char** argv) {
-  size_t rows = 20000;
-  int iters = 3;
-  std::string json_path = "BENCH_mvcc.json";
-  double gate = 10.0;
-  size_t writers = 4;
-  size_t ops = 50;
-
-  int positional = 0;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--gate=", 7) == 0) {
-      gate = std::atof(arg + 7);
-    } else if (std::strncmp(arg, "--writers=", 10) == 0) {
-      writers = std::strtoull(arg + 10, nullptr, 10);
-    } else if (std::strncmp(arg, "--ops=", 6) == 0) {
-      ops = std::strtoull(arg + 6, nullptr, 10);
-    } else if (positional == 0) {
-      rows = std::strtoull(arg, nullptr, 10);
-      ++positional;
-    } else if (positional == 1) {
-      iters = std::atoi(arg);
-      ++positional;
-    } else {
-      json_path = arg;
-      ++positional;
-    }
-  }
+  snapdiff::bench::BenchArgs args(
+      argc, argv,
+      "[rows] [iters] [out.json] [--gate=RATIO] [--writers=N] [--ops=N]");
+  const size_t rows = args.Size(20000);
+  const int iters = static_cast<int>(args.Size(3));
+  const std::string json_path = args.Text("BENCH_mvcc.json");
+  const double gate = args.NumberFlag("gate", 10.0);
+  const size_t writers = args.SizeFlag("writers", 4);
+  const size_t ops = args.SizeFlag("ops", 50);
+  args.Finish();
   const int warmup = 1;
 
   std::printf(

@@ -105,8 +105,9 @@ Result<ConfigResult> RunConfig(size_t rows, int iters, int warmup,
   Channel channel;
   Timestamp snap_time = kNullTimestamp;
   auto refresh_once = [&](RefreshStats* stats) -> Result<double> {
+    const std::shared_ptr<TableEpoch> epoch = base->OpenEpoch();
     const auto t0 = std::chrono::steady_clock::now();
-    RETURN_IF_ERROR(ExecuteDifferentialRefresh(base, &desc, snap_time,
+    RETURN_IF_ERROR(ExecuteDifferentialRefresh(base, *epoch, &desc, snap_time,
                                                &channel, stats, nullptr,
                                                exec));
     const auto t1 = std::chrono::steady_clock::now();
@@ -191,10 +192,13 @@ std::string RenderJson(size_t rows, int iters, int warmup,
 }  // namespace snapdiff
 
 int main(int argc, char** argv) {
-  const size_t rows = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 20000;
-  const int iters = argc > 2 ? std::atoi(argv[2]) : 5;
-  const std::string json_path = argc > 3 ? argv[3] : "BENCH_refresh.json";
-  const int warmup = argc > 4 ? std::atoi(argv[4]) : 2;
+  snapdiff::bench::BenchArgs args(argc, argv,
+                                  "[rows] [iters] [out.json] [warmup]");
+  const size_t rows = args.Size(20000);
+  const int iters = static_cast<int>(args.Size(5));
+  const std::string json_path = args.Text("BENCH_refresh.json");
+  const int warmup = static_cast<int>(args.Count(2));
+  args.Finish();
 
   std::printf(
       "=== Parallel partitioned refresh: workers x batch sweep "

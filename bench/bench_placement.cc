@@ -7,8 +7,8 @@
 // Usage: bench_placement [table_size] [rounds]
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "bench_report.h"
 #include "sim/workload.h"
 
 namespace {
@@ -46,9 +46,10 @@ Result<std::pair<double, double>> Run(PlacementPolicy placement,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const uint64_t table_size =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 5000;
-  const int rounds = argc > 2 ? std::atoi(argv[2]) : 5;
+  snapdiff::bench::BenchArgs args(argc, argv, "[table_size] [rounds]");
+  const uint64_t table_size = args.Size(5000);
+  const int rounds = static_cast<int>(args.Size(5));
+  args.Finish();
 
   std::printf(
       "=== Ablation A4: insert placement policy vs differential traffic\n"

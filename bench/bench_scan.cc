@@ -19,7 +19,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -216,10 +215,13 @@ Status Run(size_t rows, int iters, int warmup,
 }  // namespace snapdiff
 
 int main(int argc, char** argv) {
-  const size_t rows = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 100000;
-  const int iters = argc > 2 ? std::atoi(argv[2]) : 5;
-  const std::string json_path = argc > 3 ? argv[3] : "BENCH_scan.json";
-  const int warmup = argc > 4 ? std::atoi(argv[4]) : 1;
+  snapdiff::bench::BenchArgs args(argc, argv,
+                                  "[rows] [iters] [out.json] [warmup]");
+  const size_t rows = args.Size(100000);
+  const int iters = static_cast<int>(args.Size(5));
+  const std::string json_path = args.Text("BENCH_scan.json");
+  const int warmup = static_cast<int>(args.Count(1));
+  args.Finish();
   std::printf(
       "=== Zero-copy scan pipeline: materialize vs view (N = %llu, %d "
       "rounds + %d warmup)\n\n",

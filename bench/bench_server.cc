@@ -29,7 +29,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <random>
 #include <string>
 #include <thread>
@@ -92,40 +91,19 @@ double JainIndex(const std::vector<double>& xs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 4) {
-    std::fprintf(stderr,
-                 "usage: %s <rows_per_table> <clients> <out.json> [rounds] "
-                 "[--tables=N] [--addr=ADDR] [--connect=ADDR] [--wire=0|1]\n",
-                 argv[0]);
-    return 1;
-  }
-  const size_t rows = std::strtoull(argv[1], nullptr, 10);
-  const size_t clients = std::strtoull(argv[2], nullptr, 10);
-  const std::string out_path = argv[3];
-  size_t rounds = 4;
-  size_t tables = 8;
-  std::string addr;
-  std::string connect;
-  bool wire_on = false;
-  for (int i = 4; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--tables=", 0) == 0) {
-      tables = std::strtoull(arg.c_str() + 9, nullptr, 10);
-    } else if (arg.rfind("--addr=", 0) == 0) {
-      addr = arg.substr(7);
-    } else if (arg.rfind("--connect=", 0) == 0) {
-      connect = arg.substr(10);
-    } else if (arg.rfind("--wire=", 0) == 0) {
-      wire_on = std::atoi(arg.c_str() + 7) != 0;
-    } else if (arg[0] != '-') {
-      rounds = std::strtoull(arg.c_str(), nullptr, 10);
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-      return 1;
-    }
-  }
-  if (rows == 0 || clients == 0 || rounds == 0 || tables == 0) return 1;
-  tables = std::min(tables, clients);
+  snapdiff::bench::BenchArgs args(
+      argc, argv,
+      "<rows_per_table> <clients> <out.json> [rounds] [--tables=N] "
+      "[--addr=ADDR] [--connect=ADDR] [--wire=0|1]");
+  const size_t rows = args.Size();
+  const size_t clients = args.Size();
+  const std::string out_path = args.Text();
+  const size_t rounds = args.Size(4);
+  const size_t tables = std::min<size_t>(args.SizeFlag("tables", 8), clients);
+  std::string addr = args.TextFlag("addr", "");
+  const std::string connect = args.TextFlag("connect", "");
+  const bool wire_on = args.BoolFlag("wire", false);
+  args.Finish();
   const bool hosting = connect.empty();
   if (hosting && addr.empty()) {
     const char* tmp = std::getenv("TMPDIR");

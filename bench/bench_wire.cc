@@ -35,8 +35,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
@@ -396,25 +394,13 @@ std::string RenderJson(size_t rows, int rounds,
 
 int main(int argc, char** argv) {
   using namespace snapdiff;
-  size_t rows = 20000;
-  int rounds = 4;
-  std::string json_path = "BENCH_wire.json";
-  bool gate = true;
-  int positional = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--gate=", 7) == 0) {
-      gate = std::atoi(argv[i] + 7) != 0;
-    } else if (positional == 0) {
-      rows = std::strtoull(argv[i], nullptr, 10);
-      ++positional;
-    } else if (positional == 1) {
-      rounds = std::atoi(argv[i]);
-      ++positional;
-    } else {
-      json_path = argv[i];
-      ++positional;
-    }
-  }
+  bench::BenchArgs args(argc, argv,
+                        "[rows] [rounds] [out.json] [--gate=0|1]");
+  const size_t rows = args.Size(20000);
+  const int rounds = static_cast<int>(args.Size(4));
+  const std::string json_path = args.Text("BENCH_wire.json");
+  const bool gate = args.BoolFlag("gate", true);
+  args.Finish();
 
   std::printf(
       "=== Wire encoding: bytes/row, four profiles x "

@@ -36,8 +36,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -404,39 +402,22 @@ Status Run(const Args& a) {
 
 int main(int argc, char** argv) {
   snapdiff::Args args;
-  int positional = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--ops=", 0) == 0) {
-      args.ops = std::strtoull(arg.c_str() + 6, nullptr, 10);
-    } else if (arg.rfind("--data=", 0) == 0) {
-      args.data = arg.substr(7);
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      args.trace_path = arg.substr(8);
-    } else if (arg.rfind("--overhead-gate=", 0) == 0) {
-      args.overhead_gate_pct = std::atof(arg.c_str() + 16);
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      args.workers = std::max<size_t>(
-          1, std::strtoull(arg.c_str() + 10, nullptr, 10));
-    } else if (arg.rfind("--wire=", 0) == 0) {
-      args.wire = std::atoi(arg.c_str() + 7) != 0;
-    } else if (positional == 0) {
-      args.rows = std::strtoull(arg.c_str(), nullptr, 10);
-      ++positional;
-    } else if (positional == 1) {
-      args.iters = std::atoi(arg.c_str());
-      ++positional;
-    } else if (positional == 2) {
-      args.json_path = arg;
-      ++positional;
-    } else if (positional == 3) {
-      args.warmup = std::atoi(arg.c_str());
-      ++positional;
-    } else {
-      std::fprintf(stderr, "unrecognized argument: %s\n", arg.c_str());
-      return 1;
-    }
-  }
+  snapdiff::bench::BenchArgs cli(
+      argc, argv,
+      "[rows] [iters] [out.json] [warmup] [--ops=N] [--data=mem|file] "
+      "[--trace=PATH] [--overhead-gate=PCT] [--workers=N] [--wire=0|1]");
+  args.rows = cli.Size(args.rows);
+  args.iters = static_cast<int>(cli.Size(args.iters));
+  args.json_path = cli.Text(args.json_path);
+  args.warmup = static_cast<int>(cli.Count(args.warmup));
+  args.ops = cli.SizeFlag("ops", args.ops);
+  args.data = cli.TextFlag("data", args.data);
+  args.trace_path = cli.TextFlag("trace", args.trace_path);
+  args.overhead_gate_pct =
+      cli.NumberFlag("overhead-gate", args.overhead_gate_pct);
+  args.workers = cli.SizeFlag("workers", args.workers);
+  args.wire = cli.BoolFlag("wire", args.wire);
+  cli.Finish();
 
   std::printf(
       "=== Workload harness: YCSB churn + differential refresh "

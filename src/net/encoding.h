@@ -204,8 +204,8 @@ class WireEncoder {
 };
 
 /// Snapshot-site half: feed it every admitted message (exactly once, in
-/// admitted order — SnapshotSystem::ApplyDelivered, the group-refresh
-/// apply loop, RemoteSnapshotSite::Admit). kEncoded messages come back
+/// admitted order — SessionApplier does, for every snapshot site).
+/// kEncoded messages come back
 /// canonical; everything else passes through while the decoder tracks
 /// stream transitions, folds, and END commits.
 class WireDecoder {

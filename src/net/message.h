@@ -86,13 +86,13 @@ struct Message {
   Address base_addr = Address::Null();
   Address prev_addr = Address::Null();
   Timestamp timestamp = kNullTimestamp;
-  /// Refresh-session identity. 0 = sessionless (ASAP streams, group
-  /// refresh, direct executor use): such messages are applied on arrival
+  /// Refresh-session identity. 0 = sessionless (ASAP streams, join
+  /// snapshots, direct executor use): such messages are applied on arrival
   /// with no duplicate/reorder protection. Non-zero: the message belongs to
   /// a resumable refresh session and `seq` is its 1-based position in the
   /// session's stream; the snapshot-site applier admits session messages
   /// strictly in seq order, dropping duplicates and holding early arrivals
-  /// (see SnapshotSystem::DeliverPending).
+  /// (see SessionApplier).
   uint64_t session_id = 0;
   uint64_t seq = 0;
   std::string payload;

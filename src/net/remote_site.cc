@@ -71,8 +71,32 @@ Result<std::unique_ptr<RemoteSnapshotSite>> RemoteSnapshotSite::Connect(
           if (id != s->snapshot_id_ || s->table_ == nullptr) return nullptr;
           return &s->table_->value_schema();
         });
+    site->applier_ = SessionApplier(site->decoder_.get());
   }
   return site;
+}
+
+Message RemoteSnapshotSite::MakeDemand() {
+  pending_resume_target_ = applier_.CurrentSession(snapshot_id_);
+  Message demand;
+  if (pending_resume_target_ != 0) {
+    demand = MakeResumeRefresh(
+        snapshot_id_, pending_resume_target_,
+        applier_.LastApplied(snapshot_id_, pending_resume_target_));
+    // If the server no longer has the session it falls back to a fresh
+    // serve; carry our SnapTime so that serve is a correct differential
+    // demand, not an initial copy.
+    demand.timestamp = table_->snap_time();
+  } else {
+    demand = MakeRefreshRequest(snapshot_id_, table_->snap_time(), "");
+  }
+  if (decoder_ != nullptr) {
+    // Report the decoder's committed generation (demand's unused
+    // base_addr) so the server's per-connection encoder realigns with our
+    // shadow before it streams.
+    demand.base_addr = Address::FromRaw(decoder_->generation(snapshot_id_));
+  }
+  return demand;
 }
 
 Status RemoteSnapshotSite::Reconnect(RemoteRefreshReport* report) {
@@ -87,26 +111,7 @@ Status RemoteSnapshotSite::Reconnect(RemoteRefreshReport* report) {
     Result<int> connected = wire::Connect(addr_);
     if (!connected.ok()) continue;
     fd_ = *connected;
-    Message demand;
-    if (session_id_ != 0) {
-      demand = MakeResumeRefresh(snapshot_id_, session_id_,
-                                 last_applied_seq_);
-      // If the server no longer has the session it falls back to a fresh
-      // serve; carry our SnapTime so that serve is a correct differential
-      // demand, not an initial copy.
-      demand.timestamp = table_->snap_time();
-      pending_resume_target_ = session_id_;
-    } else {
-      demand = MakeRefreshRequest(snapshot_id_, table_->snap_time(), "");
-    }
-    if (decoder_ != nullptr) {
-      // Report the decoder's committed generation (demand's unused
-      // base_addr) so the server's fresh per-connection encoder realigns
-      // with our shadow before it streams.
-      demand.base_addr =
-          Address::FromRaw(decoder_->generation(snapshot_id_));
-    }
-    if (wire::WriteMessage(fd_, demand).ok()) {
+    if (wire::WriteMessage(fd_, MakeDemand()).ok()) {
       ++report->reconnects;
       return Status::OK();
     }
@@ -114,53 +119,25 @@ Status RemoteSnapshotSite::Reconnect(RemoteRefreshReport* report) {
   return Status::Unavailable("reconnect attempts exhausted to " + addr_);
 }
 
-Status RemoteSnapshotSite::Admit(const Message& msg,
-                                 RemoteRefreshReport* report) {
-  // Admission is exactly-once and in seq order (the caller's duplicate/
-  // reorder screen), which is precisely the discipline the wire decoder's
-  // row shadow requires — so decoding happens here, not at the transport.
-  Message decoded;
-  const Message* canonical = &msg;
-  if (decoder_ != nullptr) {
-    ASSIGN_OR_RETURN(decoded, decoder_->Admit(msg));
-    canonical = &decoded;
-  }
-  if (options_.record_stream) {
-    std::string bytes;
-    canonical->SerializeTo(&bytes);
-    recorded_.push_back(std::move(bytes));
-  }
-  RETURN_IF_ERROR(table_->ApplyMessage(*canonical, &report->stats));
-  ++report->messages_applied;
-  return Status::OK();
-}
-
 Result<RemoteRefreshReport> RemoteSnapshotSite::Refresh() {
   RemoteRefreshReport report;
-  pending_resume_target_ = 0;
-  if (fd_ < 0) {
-    // Dropped connection (crash simulation / earlier failure): reconnect
-    // sends the right demand — RESUME when a session is in flight.
+  const SessionApplier::Stats before = applier_.stats();
+  if (fd_ < 0 || !wire::WriteMessage(fd_, MakeDemand()).ok()) {
+    // Dropped connection (crash simulation / earlier failure) or a dead
+    // socket: reconnect sends the right demand — RESUME when a session is
+    // in flight.
     RETURN_IF_ERROR(Reconnect(&report));
-  } else {
-    Message demand;
-    if (session_id_ != 0) {
-      demand = MakeResumeRefresh(snapshot_id_, session_id_,
-                                 last_applied_seq_);
-      demand.timestamp = table_->snap_time();
-      pending_resume_target_ = session_id_;
-    } else {
-      demand = MakeRefreshRequest(snapshot_id_, table_->snap_time(), "");
-    }
-    if (decoder_ != nullptr) {
-      demand.base_addr =
-          Address::FromRaw(decoder_->generation(snapshot_id_));
-    }
-    if (!wire::WriteMessage(fd_, demand).ok()) {
-      RETURN_IF_ERROR(Reconnect(&report));
-    }
   }
 
+  const SessionApplier::ApplyFn apply =
+      [&](const Message& msg, const Message&) -> Status {
+    if (options_.record_stream) {
+      std::string bytes;
+      msg.SerializeTo(&bytes);
+      recorded_.push_back(std::move(bytes));
+    }
+    return table_->ApplyMessage(msg, &report.stats);
+  };
   bool ended = false;
   while (!ended) {
     Result<Message> arrived = wire::ReadMessage(fd_);
@@ -179,56 +156,32 @@ Result<RemoteRefreshReport> RemoteSnapshotSite::Refresh() {
         msg.type == MessageType::kResumeRefresh) {
       continue;  // not part of a refresh stream; ignore
     }
-    if (msg.session_id == 0) {
-      // Sessionless stream (join serves): apply on arrival, no resume
-      // protection, no ack.
-      RETURN_IF_ERROR(Admit(msg, &report));
-      ended = msg.type == MessageType::kEndOfRefresh;
-      continue;
-    }
-    if (pending_resume_target_ != 0) {
+    if (msg.session_id != 0 && pending_resume_target_ != 0) {
       if (msg.session_id == pending_resume_target_) ++report.resumes;
       pending_resume_target_ = 0;
     }
-    if (msg.session_id != session_id_) {
-      // A fresh session superseded ours (server fell back instead of
-      // resuming, or a stale session's stragglers). Adopt the stream's
-      // identity and restart the applied-prefix accounting.
-      session_id_ = msg.session_id;
-      last_applied_seq_ = 0;
-      held_.clear();
-    }
-    if (msg.seq <= last_applied_seq_) {
-      ++report.duplicates_dropped;
-      continue;
-    }
-    if (msg.seq > last_applied_seq_ + 1) {
-      held_.emplace(msg.seq, msg);
-      ++report.held_for_reorder;
-      continue;
-    }
-    RETURN_IF_ERROR(Admit(msg, &report));
-    last_applied_seq_ = msg.seq;
-    ended = msg.type == MessageType::kEndOfRefresh;
-    while (!held_.empty() &&
-           held_.begin()->first == last_applied_seq_ + 1) {
-      const Message& next = held_.begin()->second;
-      RETURN_IF_ERROR(Admit(next, &report));
-      last_applied_seq_ = next.seq;
-      ended = ended || next.type == MessageType::kEndOfRefresh;
-      held_.erase(held_.begin());
-    }
+    RETURN_IF_ERROR(applier_.Offer(msg, apply));
+    // Sessionless streams (join serves) end at their END, with no resume
+    // protection and no ack.
+    ended = msg.session_id == 0
+                ? msg.type == MessageType::kEndOfRefresh
+                : applier_.Complete(snapshot_id_, msg.session_id);
   }
 
-  if (session_id_ != 0) {
-    report.session_id = session_id_;
+  report.messages_applied = applier_.stats().applied - before.applied;
+  report.duplicates_dropped =
+      applier_.stats().duplicates_dropped - before.duplicates_dropped;
+  report.held_for_reorder =
+      applier_.stats().held_for_reorder - before.held_for_reorder;
+  const uint64_t session_id = applier_.CurrentSession(snapshot_id_);
+  if (session_id != 0) {
+    report.session_id = session_id;
     // Best effort: if the ack is lost the session lingers at the base
     // until the next serve for this snapshot supersedes it.
     (void)wire::WriteMessage(
-        fd_, MakeSessionAck(snapshot_id_, session_id_, last_applied_seq_));
-    session_id_ = 0;
-    last_applied_seq_ = 0;
-    held_.clear();
+        fd_, MakeSessionAck(snapshot_id_, session_id,
+                            applier_.LastApplied(snapshot_id_, session_id)));
+    applier_.Forget(snapshot_id_);
   }
   return report;
 }

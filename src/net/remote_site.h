@@ -2,7 +2,6 @@
 #define SNAPDIFF_NET_REMOTE_SITE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,6 +11,7 @@
 #include "common/status.h"
 #include "net/encoding.h"
 #include "net/message.h"
+#include "net/session_applier.h"
 #include "snapshot/refresh_types.h"
 #include "snapshot/snapshot_table.h"
 #include "storage/buffer_pool.h"
@@ -60,12 +60,12 @@ struct RemoteRefreshReport {
 /// apply, SESSION_ACK, and RESUME over reconnect when the connection dies
 /// mid-stream.
 ///
-/// Admission control mirrors SnapshotSystem::DeliverPending: messages of
-/// the current session apply strictly in seq order — duplicates (seq
-/// already applied) drop, early arrivals park until the gap fills. A
-/// stream arriving under a *different* session id supersedes the current
-/// one (the server opened a fresh session instead of resuming); the client
-/// adopts it and restarts its applied-prefix accounting.
+/// Admission goes through the same SessionApplier as the in-process site:
+/// messages of the current session apply strictly in seq order —
+/// duplicates (seq already applied) drop, early arrivals park until the gap
+/// fills. A stream arriving under a *different* session id supersedes the
+/// current one (the server opened a fresh session instead of resuming); the
+/// client adopts it and restarts its applied-prefix accounting.
 class RemoteSnapshotSite {
  public:
   /// Dials `addr`, performs the HELLO handshake for `snapshot_name`, and
@@ -112,8 +112,10 @@ class RemoteSnapshotSite {
                      RemoteSiteOptions options);
 
   Status Reconnect(RemoteRefreshReport* report);
-  /// Applies one admitted stream message to the replica and records it.
-  Status Admit(const Message& msg, RemoteRefreshReport* report);
+  /// The demand for the next stream: RESUME_REFRESH of the in-flight
+  /// session (noted in pending_resume_target_) or a fresh REFRESH_REQUEST,
+  /// carrying the decoder's codec generation when the codec is on.
+  Message MakeDemand();
 
   std::string addr_;
   std::string snapshot_name_;
@@ -132,13 +134,13 @@ class RemoteSnapshotSite {
   std::unique_ptr<TimestampOracle> oracle_;
   std::unique_ptr<SnapshotTable> table_;
 
-  // Current-session admission state.
-  uint64_t session_id_ = 0;
-  uint64_t last_applied_seq_ = 0;
+  /// Seq-ordered admission of the refresh stream (decodes through
+  /// `decoder_` when the codec is on). Its current session for
+  /// `snapshot_id_` is the one in flight; it is forgotten once acknowledged.
+  SessionApplier applier_;
   /// Set after a RESUME demand: the session id we asked to resume. The
   /// first stream message tells us whether the server honored it.
   uint64_t pending_resume_target_ = 0;
-  std::map<uint64_t, Message> held_;  // early arrivals, by seq
 
   std::vector<std::string> recorded_;
 };

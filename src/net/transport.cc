@@ -163,6 +163,36 @@ uint64_t TransportMeter::NextDisplacement(size_t queue_size) {
   return 0;
 }
 
+void CountMessage(const Message& msg, uint64_t bytes, ChannelStats* stats) {
+  ++stats->messages;
+  stats->payload_bytes += bytes;
+  // An encoded message counts as the type it wraps, so encoded streams keep
+  // the canonical entry/delete accounting; an unreadable header counts as
+  // an entry.
+  const bool encoded = msg.type == MessageType::kEncoded;
+  const Result<MessageType> type =
+      encoded ? EncodedInnerType(msg) : Result<MessageType>(msg.type);
+  switch (type.ok() ? *type : MessageType::kEntry) {
+    case MessageType::kEntryBatch: {
+      const Result<uint64_t> count =
+          encoded ? EncodedEntryCount(msg) : EntryBatchCount(msg);
+      stats->batched_entries += count.ok() ? *count : 0;
+      [[fallthrough]];
+    }
+    case MessageType::kEntry:
+    case MessageType::kUpsert:
+      ++stats->entry_messages;
+      break;
+    case MessageType::kDelete:
+    case MessageType::kDeleteRange:
+      ++stats->delete_messages;
+      break;
+    default:
+      ++stats->control_messages;
+      break;
+  }
+}
+
 TransportMeter::SendVerdict TransportMeter::OnSend(const Message& msg,
                                                    const std::string& bytes) {
   SendVerdict verdict;
@@ -181,57 +211,16 @@ TransportMeter::SendVerdict TransportMeter::OnSend(const Message& msg,
     return verdict;
   }
 
-  ++stats_.messages;
+  ChannelStats counted;
+  CountMessage(msg, bytes.size(), &counted);
+  stats_ += counted;
   metrics_.messages->Inc();
-  switch (msg.type) {
-    case MessageType::kEntry:
-    case MessageType::kUpsert:
-      ++stats_.entry_messages;
-      metrics_.entry_messages->Inc();
-      break;
-    case MessageType::kEntryBatch: {
-      ++stats_.entry_messages;
-      metrics_.entry_messages->Inc();
-      auto count = EntryBatchCount(msg);
-      const uint64_t n = count.ok() ? *count : 0;
-      stats_.batched_entries += n;
-      metrics_.batched_entries->Inc(n);
-      break;
-    }
-    case MessageType::kDelete:
-    case MessageType::kDeleteRange:
-      ++stats_.delete_messages;
-      metrics_.delete_messages->Inc();
-      break;
-    case MessageType::kEncoded: {
-      // Classify by the wrapped type so encoded streams keep the same
-      // entry/delete accounting as canonical ones.
-      auto inner = EncodedInnerType(msg);
-      if (inner.ok() && (*inner == MessageType::kDelete ||
-                         *inner == MessageType::kDeleteRange)) {
-        ++stats_.delete_messages;
-        metrics_.delete_messages->Inc();
-      } else if (inner.ok() && *inner == MessageType::kClear) {
-        ++stats_.control_messages;
-        metrics_.control_messages->Inc();
-      } else {
-        ++stats_.entry_messages;
-        metrics_.entry_messages->Inc();
-        if (inner.ok() && *inner == MessageType::kEntryBatch) {
-          auto count = EncodedEntryCount(msg);
-          const uint64_t n = count.ok() ? *count : 0;
-          stats_.batched_entries += n;
-          metrics_.batched_entries->Inc(n);
-        }
-      }
-      break;
-    }
-    default:
-      ++stats_.control_messages;
-      metrics_.control_messages->Inc();
-      break;
+  if (counted.entry_messages > 0) metrics_.entry_messages->Inc();
+  if (counted.delete_messages > 0) metrics_.delete_messages->Inc();
+  if (counted.control_messages > 0) metrics_.control_messages->Inc();
+  if (counted.batched_entries > 0) {
+    metrics_.batched_entries->Inc(counted.batched_entries);
   }
-  stats_.payload_bytes += bytes.size();
   metrics_.payload_bytes->Inc(bytes.size());
   stats_.wire_bytes += bytes.size() + options_.per_message_overhead_bytes;
   metrics_.wire_bytes->Inc(bytes.size() + options_.per_message_overhead_bytes);

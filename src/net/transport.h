@@ -60,6 +60,14 @@ struct ChannelStats {
   uint64_t reordered_messages = 0;  // deliveries displaced from FIFO order
 };
 
+/// Per-type accounting of one message whose serialization is `bytes` long:
+/// bumps `messages`, its category (entry, delete or control; an encoded
+/// message counts as the type it wraps), `batched_entries` and
+/// `payload_bytes`. The one classification rule behind both the send-side
+/// TransportMeter and receive-side attribution (SnapshotSystem's group
+/// refresh), so the two always agree.
+void CountMessage(const Message& msg, uint64_t bytes, ChannelStats* stats);
+
 ChannelStats operator-(const ChannelStats& a, const ChannelStats& b);
 ChannelStats operator+(const ChannelStats& a, const ChannelStats& b);
 ChannelStats& operator+=(ChannelStats& a, const ChannelStats& b);

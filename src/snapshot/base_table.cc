@@ -56,6 +56,17 @@ std::vector<std::string> BaseTable::UserColumnNames() const {
   return names;
 }
 
+Result<std::vector<size_t>> BaseTable::ProjectionIndices(
+    const std::vector<std::string>& columns) const {
+  std::vector<size_t> indices;
+  indices.reserve(columns.size());
+  for (const std::string& name : columns) {
+    ASSIGN_OR_RETURN(size_t idx, user_schema_.IndexOf(name));
+    indices.push_back(idx);
+  }
+  return indices;
+}
+
 Tuple BaseTable::MakeStored(const Tuple& user_row, Address prev,
                             Timestamp ts) const {
   if (mode_ == AnnotationMode::kNone && !info_->schema.HasAnnotations()) {
@@ -296,26 +307,6 @@ Result<BaseTable::AnnotatedView> BaseTable::SplitStoredView(
   return row;
 }
 
-std::vector<BaseTable::ScanPartition> BaseTable::Partition(
-    size_t max_partitions) const {
-  std::vector<ScanPartition> parts;
-  const size_t pages = info_->heap->pages().size();
-  if (pages == 0 || max_partitions == 0) return parts;
-  const size_t n = std::min(max_partitions, pages);
-  parts.reserve(n);
-  // Distribute pages as evenly as possible; the first (pages % n) runs get
-  // one extra page.
-  const size_t base = pages / n;
-  const size_t extra = pages % n;
-  size_t next = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const size_t count = base + (i < extra ? 1 : 0);
-    parts.push_back({next, count});
-    next += count;
-  }
-  return parts;
-}
-
 namespace {
 
 /// Little-endian store matching PutFixed64's wire byte order.
@@ -387,6 +378,7 @@ std::shared_ptr<TableEpoch> BaseTable::OpenEpoch() {
   std::shared_ptr<TableEpoch> epoch = info_->heap->OpenEpoch();
   epoch->cut_tick = mutation_tick_.load(std::memory_order_relaxed);
   epoch->cut_lsn = wal_ != nullptr ? wal_->LastLsn() : kInvalidLsn;
+  epoch->cut_time = oracle_->Next();
   return epoch;
 }
 
@@ -397,6 +389,8 @@ std::vector<BaseTable::ScanPartition> BaseTable::PartitionEpoch(
   if (pages == 0 || max_partitions == 0) return parts;
   const size_t n = std::min(max_partitions, pages);
   parts.reserve(n);
+  // Distribute pages as evenly as possible; the first (pages % n) runs get
+  // one extra page.
   const size_t base = pages / n;
   const size_t extra = pages % n;
   size_t next = 0;

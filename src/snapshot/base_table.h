@@ -8,6 +8,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -128,8 +129,8 @@ class BaseTable {
   /// each one to `fn(Address, const AnnotatedView&)`. The view (and
   /// everything obtained from it) aliases a page pinned only for the
   /// duration of the callback — materialize what must outlive it. Writing
-  /// to this table from inside `fn` is not allowed (the refresh executors
-  /// defer fix-up writes until after the scan).
+  /// to this table from inside `fn` is not allowed. The refresh executors
+  /// never scan the live heap; they read an epoch (ScanAnnotatedAtEpoch).
   template <typename Fn>
   Status ScanAnnotated(Fn&& fn) {
     return info_->heap->ForEach(
@@ -139,34 +140,15 @@ class BaseTable {
         });
   }
 
-  /// A contiguous run of the heap's pages, scanned by one refresh worker.
+  /// A contiguous run of an epoch's pages, scanned by one refresh worker.
   struct ScanPartition {
     size_t first_page = 0;
     size_t page_count = 0;
   };
 
-  /// Splits the table into at most `max_partitions` contiguous page runs of
-  /// near-equal size. Addresses are (page, slot) pairs ordered by page, so
-  /// page boundaries are exact address-range boundaries: concatenating the
-  /// partitions' rows in order reproduces the ScanAnnotated order. Returns
-  /// fewer runs when the table has fewer pages than `max_partitions`.
-  std::vector<ScanPartition> Partition(size_t max_partitions) const;
-
-  /// ScanAnnotated restricted to one partition. Read-only; safe to call
-  /// concurrently from multiple threads (storage below is latched). Same
-  /// view-lifetime rules as ScanAnnotated.
-  template <typename Fn>
-  Status ScanAnnotatedRange(const ScanPartition& part, Fn&& fn) {
-    return info_->heap->ForEachInPageRange(
-        part.first_page, part.page_count,
-        [&](Address addr, std::string_view bytes) -> Status {
-          ASSIGN_OR_RETURN(AnnotatedView row, SplitStoredView(bytes));
-          return fn(addr, row);
-        });
-  }
-
   /// Opens a consistent copy-on-write scan epoch over this table: the page
-  /// list, mutation tick, and WAL position are captured atomically with
+  /// list, mutation tick, WAL position and the refresh's timestamp (one
+  /// oracle draw, TableEpoch::cut_time) are captured atomically with
   /// respect to the mutation lock, so the epoch describes one instant.
   /// Writers proceed concurrently; the first touch of a frozen page clones
   /// its pre-image into the epoch (see TableEpoch).
@@ -177,15 +159,13 @@ class BaseTable {
   /// while writers keep mutating. Same view-lifetime rules as ScanAnnotated.
   template <typename Fn>
   Status ScanAnnotatedAtEpoch(const TableEpoch& epoch, Fn&& fn) {
-    return epoch.ForEach(
-        [&](Address addr, std::string_view bytes) -> Status {
-          ASSIGN_OR_RETURN(AnnotatedView row, SplitStoredView(bytes));
-          return fn(addr, row);
-        });
+    return ScanAnnotatedRangeAtEpoch(epoch, {0, epoch.page_count()},
+                                     std::forward<Fn>(fn));
   }
 
-  /// ScanAnnotatedRange against an epoch's cut (the parallel extract
-  /// workers' shape; partitions must come from PartitionEpoch).
+  /// ScanAnnotatedAtEpoch restricted to one partition (the parallel
+  /// extract workers' shape; partitions must come from PartitionEpoch).
+  /// Read-only; safe to call concurrently from multiple threads.
   template <typename Fn>
   Status ScanAnnotatedRangeAtEpoch(const TableEpoch& epoch,
                                    const ScanPartition& part, Fn&& fn) {
@@ -197,8 +177,13 @@ class BaseTable {
         });
   }
 
-  /// Partition() over an epoch's frozen page list (pages allocated after
-  /// the cut are excluded, matching what ScanAnnotatedAtEpoch visits).
+  /// Splits an epoch's frozen page list into at most `max_partitions`
+  /// contiguous page runs of near-equal size (pages allocated after the cut
+  /// are excluded, matching what ScanAnnotatedAtEpoch visits). Addresses
+  /// are (page, slot) pairs ordered by page, so page boundaries are exact
+  /// address-range boundaries: concatenating the partitions' rows in order
+  /// reproduces the ScanAnnotatedAtEpoch order. Returns fewer runs when the
+  /// epoch has fewer pages than `max_partitions`.
   std::vector<ScanPartition> PartitionEpoch(const TableEpoch& epoch,
                                             size_t max_partitions) const;
 
@@ -278,6 +263,11 @@ class BaseTable {
 
   /// The names of the user columns, in order (the default projection).
   std::vector<std::string> UserColumnNames() const;
+
+  /// Resolves projected user columns to user-schema indices, once per
+  /// refresh, so per-row payload serialization never looks up by name.
+  Result<std::vector<size_t>> ProjectionIndices(
+      const std::vector<std::string>& columns) const;
 
  private:
   /// Builds the stored tuple = user values + (prev, ts).

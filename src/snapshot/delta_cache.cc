@@ -38,14 +38,14 @@ size_t DeltaCache::KeyBytes(const DeltaCacheKey& key) {
   return n;
 }
 
-bool DeltaCache::CanServe(const BaseTable& base,
+bool DeltaCache::CanServe(const BaseTable& base, uint64_t cut_tick,
                           const SnapshotDescriptor& desc) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = classes_.find(KeyFor(base, desc));
-  return it != classes_.end() && it->second.valid_tick == base.mutation_tick();
+  return it != classes_.end() && it->second.valid_tick == cut_tick;
 }
 
-Status DeltaCache::ServeGroup(const BaseTable& base,
+Status DeltaCache::ServeGroup(const BaseTable& base, uint64_t cut_tick,
                               const RefreshExecution& exec,
                               std::vector<ServeTarget>* targets) {
   SNAPDIFF_FR_SCOPED_SPAN(fr_span, "delta_cache.serve");
@@ -64,7 +64,7 @@ Status DeltaCache::ServeGroup(const BaseTable& base,
   for (ServeTarget& t : *targets) {
     auto it = classes_.find(KeyFor(base, *t.desc));
     if (it == classes_.end() ||
-        it->second.valid_tick != base.mutation_tick()) {
+        it->second.valid_tick != cut_tick) {
       return Status::Internal(
           "delta cache serve without a current image (CanServe not checked?)");
     }

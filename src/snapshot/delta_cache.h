@@ -57,12 +57,15 @@ struct DeltaCacheKey {
 /// byte-for-byte the stream the rescan would emit, for *any* T, without
 /// touching a single base page.
 ///
-/// Validity: an image is serveable only while the base table is unchanged
-/// since the epoch that filled it (BaseTable::mutation_tick compare). Any
-/// base mutation invalidates; the next refresh falls back to the scan and
-/// re-fills as a side effect. Fills reuse unchanged rows' payloads from the
-/// previous image (the incremental "merge epochs" step), so a fill after k
-/// updates copies k fresh payloads plus pointers, not the whole table.
+/// Validity: an image serves a refresh only when the base table at that
+/// refresh's epoch cut is unchanged since the epoch that filled it (the
+/// image's tick equals TableEpoch::cut_tick). Any base mutation before the
+/// cut invalidates; the next refresh falls back to the scan and re-fills as
+/// a side effect. Writes after the cut do not matter: the refresh streams
+/// the cut, and both checks read the same frozen tick. Fills reuse
+/// unchanged rows' payloads from the previous image (the incremental "merge
+/// epochs" step), so a fill after k updates copies k fresh payloads plus
+/// pointers, not the whole table.
 ///
 /// Memory is bounded by a byte budget with LRU class eviction; evicted
 /// classes fall back to rescan, metered ("snapshot.delta_cache.*" counters,
@@ -109,9 +112,11 @@ class DeltaCache {
   static bool SameClass(const SnapshotDescriptor& a,
                         const SnapshotDescriptor& b);
 
-  /// True when `desc`'s class image exists and the base table is unchanged
-  /// since the epoch that filled it — Serve would be exact.
-  bool CanServe(const BaseTable& base, const SnapshotDescriptor& desc) const;
+  /// True when `desc`'s class image exists and describes the table at the
+  /// refresh's cut (`cut_tick` = TableEpoch::cut_tick equals the tick the
+  /// image was stamped with) — a serve would be exact.
+  bool CanServe(const BaseTable& base, uint64_t cut_tick,
+                const SnapshotDescriptor& desc) const;
 
   /// One member of a group serve: its descriptor, SnapTime, output sink,
   /// meters, and where to deposit the final LastQual for the caller's
@@ -131,9 +136,10 @@ class DeltaCache {
   /// sink see the byte-identical wire, batching included. Sends ENTRY
   /// messages only; the caller flushes and closes each member with
   /// END_OF_REFRESH, mirroring the scan path. Counts one hit per target
-  /// and marks `stats->served_from_cache`. Fails unless CanServe holds for
-  /// every target.
-  Status ServeGroup(const BaseTable& base, const RefreshExecution& exec,
+  /// and marks `stats->served_from_cache`. Fails unless CanServe(base,
+  /// cut_tick, ...) holds for every target.
+  Status ServeGroup(const BaseTable& base, uint64_t cut_tick,
+                    const RefreshExecution& exec,
                     std::vector<ServeTarget>* targets);
 
   /// Meters one refresh that had to scan (image missing, stale or evicted).

@@ -31,20 +31,20 @@ struct MemberState {
 /// A buffered annotation repair. Repairs are applied after the scan so the
 /// scan iterator never observes its own writes. (R* interleaves them; the
 /// observable result is identical because the scan reads each entry once.)
-/// On the epoch path, `expect_prev`/`expect_ts` carry the annotations the
-/// scan observed at the cut: the repair applies only while they still hold
-/// on the live row (WriteAnnotationsIf), so a concurrent writer's change is
-/// never clobbered and a skipped repair is re-derived by the next refresh.
+/// `expect_prev`/`expect_ts` carry the annotations the scan observed at the
+/// cut: the repair applies only while they still hold on the live row
+/// (WriteAnnotationsIf), so a concurrent writer's change is never clobbered
+/// and a skipped repair is re-derived by the next refresh.
 struct PendingWrite {
   Address addr;
   Address prev;
   Timestamp ts;
   Address expect_prev;
   Timestamp expect_ts;
-  /// Epoch path, NULL-timestamp rows only: the full stored image at the
-  /// cut. Annotations alone cannot identify such a row (a post-cut
-  /// reinsert or update reproduces them), so the conditional repair also
-  /// demands byte identity. Empty otherwise — no copy on the common path.
+  /// NULL-timestamp rows only: the full stored image at the cut.
+  /// Annotations alone cannot identify such a row (a post-cut reinsert or
+  /// update reproduces them), so the conditional repair also demands byte
+  /// identity. Empty otherwise — no copy on the common path.
   std::string expect_bytes;
 };
 
@@ -244,9 +244,9 @@ struct ExtractedRow {
   uint64_t has_payload = 0;   // bit i: payloads[i] was pre-serialized
   uint64_t fill_payload = 0;  // bit i: payloads[i] serialized for a fill
   std::vector<std::string> payloads;  // indexed by member; sized lazily
-  /// Epoch path: stored image of NULL-timestamp rows (the only rows whose
-  /// repair needs the byte-identity guard — see PendingWrite). Rows with
-  /// intact annotations stay copy-free.
+  /// Stored image of NULL-timestamp rows (the only rows whose repair needs
+  /// the byte-identity guard — see PendingWrite). Rows with intact
+  /// annotations stay copy-free.
   std::string raw;
 };
 
@@ -261,7 +261,7 @@ struct FillSpec {
 /// Scans one partition and extracts its rows. Runs on a pool worker; reads
 /// only shared-immutable state (`states` is const here — transmit state is
 /// owned by the merge pass) and writes only `*out` and its own counter.
-Status ExtractPartition(BaseTable* base, const TableEpoch* epoch,
+Status ExtractPartition(BaseTable* base, const TableEpoch& epoch,
                         const std::vector<MemberState>& states,
                         const std::vector<FillSpec>& fill_specs,
                         const BaseTable::ScanPartition& part,
@@ -280,14 +280,12 @@ Status ExtractPartition(BaseTable* base, const TableEpoch* epoch,
         er.addr = addr;
         er.stored_prev = row.prev_addr;
         er.stored_ts = row.timestamp;
-        if (epoch != nullptr && RepairNeedsImage(row.timestamp)) {
-          er.raw = std::string(row.raw);
-        }
+        if (RepairNeedsImage(row.timestamp)) er.raw = std::string(row.raw);
         const bool annotations_intact =
             !row.prev_addr.IsNull() && row.timestamp != kNullTimestamp;
 
         // Classify the post-fixup timestamp. Any repair stamps FixupTime,
-        // which the oracle drew after every member's SnapTime, so a row
+        // which the epoch drew after every member's SnapTime, so a row
         // known to be repaired compares fresh for every member.
         Tri ts_fresh_base;    // member-independent part of "ts > SnapTime"
         bool ts_is_stored = false;
@@ -362,10 +360,7 @@ Status ExtractPartition(BaseTable* base, const TableEpoch* epoch,
         out->push_back(std::move(er));
         return Status::OK();
   };
-  if (epoch != nullptr) {
-    return base->ScanAnnotatedRangeAtEpoch(*epoch, part, visit);
-  }
-  return base->ScanAnnotatedRange(part, visit);
+  return base->ScanAnnotatedRangeAtEpoch(epoch, part, visit);
 }
 
 /// Feeds one fixed-up row into every pending cache fill. `payload_of(rep)`
@@ -392,8 +387,9 @@ Status ObserveFills(std::vector<FillTarget>* fills, const FixupResult& fix,
 }  // namespace
 
 Status ExecuteGroupDifferentialRefresh(
-    BaseTable* base, std::vector<GroupRefreshMember>* members,
-    MessageSink* channel, obs::Tracer* tracer, const RefreshExecution& exec) {
+    BaseTable* base, const TableEpoch& epoch,
+    std::vector<GroupRefreshMember>* members, MessageSink* channel,
+    obs::Tracer* tracer, const RefreshExecution& exec) {
   if (base->mode() == AnnotationMode::kNone) {
     return Status::InvalidArgument(
         "differential refresh requires annotation columns");
@@ -408,23 +404,17 @@ Status ExecuteGroupDifferentialRefresh(
   std::vector<MemberState> states;
   states.reserve(members->size());
   for (GroupRefreshMember& m : *members) {
-    MemberState state{m, {}, Address::Origin(), false};
-    state.projection_indices.reserve(m.desc->projection.size());
-    for (const std::string& name : m.desc->projection) {
-      ASSIGN_OR_RETURN(size_t idx, base->user_schema().IndexOf(name));
-      state.projection_indices.push_back(idx);
-    }
-    states.push_back(std::move(state));
+    ASSIGN_OR_RETURN(std::vector<size_t> projection_indices,
+                     base->ProjectionIndices(m.desc->projection));
+    states.push_back(MemberState{m, std::move(projection_indices),
+                                 Address::Origin(), false});
   }
 
   // Per-member output streams. A member that brought its own sink (a
   // per-session stamped stream) batches independently; everyone else
   // shares one sender over exec.session/channel, so the single-stream wire
   // framing stays byte-identical to a session-less group.
-  MessageSink* default_sink = exec.session != nullptr
-                                  ? static_cast<MessageSink*>(exec.session)
-                                  : channel;
-  BatchingSender shared_sender(default_sink, exec.batch_size);
+  BatchingSender shared_sender(StreamSink(exec, channel), exec.batch_size);
   std::vector<std::unique_ptr<BatchingSender>> owned_senders;
   std::vector<BatchingSender*> senders(states.size(), &shared_sender);
   for (size_t i = 0; i < states.size(); ++i) {
@@ -434,22 +424,47 @@ Status ExecuteGroupDifferentialRefresh(
       senders[i] = owned_senders.back().get();
     }
   }
+  // Drains every member's batch: one flush boundary after the whole
+  // group's entries, on the scan and the cache-serve path alike.
+  auto flush_senders = [&]() -> Status {
+    RETURN_IF_ERROR(shared_sender.Flush());
+    for (const auto& owned : owned_senders) RETURN_IF_ERROR(owned->Flush());
+    return Status::OK();
+  };
+  // "Handle deletions at end of BaseTable" + transmit the new SnapTime —
+  // the cut's time — once per member. The senders are already drained, so
+  // these pass through unbatched like every control message.
+  auto send_ends = [&]() -> Status {
+    for (size_t i = 0; i < states.size(); ++i) {
+      const MemberState& state = states[i];
+      const RefreshStats& st = *state.member.stats;
+      RETURN_IF_ERROR(senders[i]->Send(MakeEndOfRefresh(
+          state.member.desc->id, state.last_qual, epoch.cut_time)));
+      SNAPDIFF_LOG(Debug) << "differential refresh transmitted"
+                          << obs::kv("snapshot", state.member.desc->name)
+                          << obs::kv("served_from_cache", st.served_from_cache)
+                          << obs::kv("entries_scanned", st.entries_scanned)
+                          << obs::kv("fixups_inserted", st.fixups_inserted)
+                          << obs::kv("fixups_updated", st.fixups_updated)
+                          << obs::kv("fixups_deleted", st.fixups_deleted);
+    }
+    return Status::OK();
+  };
 
   DeltaCache* cache = exec.delta_cache;
   if (cache != nullptr) {
     bool all_current = true;
     for (const MemberState& st : states) {
-      if (!cache->CanServe(*base, *st.member.desc)) {
+      if (!cache->CanServe(*base, epoch.cut_tick, *st.member.desc)) {
         all_current = false;
         break;
       }
     }
     if (all_current) {
-      // --- Cache-served path: every member's class image is current, so
-      // the whole group replays from memory. No base pages are touched; a
-      // single oracle draw closes the epoch exactly as a scan's FixupTime
-      // would, so cached and scanning systems stay in timestamp lockstep.
-      const Timestamp end_time = base->oracle()->Next();
+      // --- Cache-served path: every member's class image is current at the
+      // cut, so the whole group replays from memory. No base pages are
+      // touched; END carries the cut's time exactly as a scan would, so
+      // cached and scanning systems stay in timestamp lockstep.
       obs::Tracer::Span serve_span(tracer, "cache-serve");
       std::vector<DeltaCache::ServeTarget> targets;
       targets.reserve(states.size());
@@ -458,29 +473,20 @@ Status ExecuteGroupDifferentialRefresh(
             states[i].member.desc, states[i].member.snap_time, senders[i],
             states[i].member.stats, &states[i].last_qual});
       }
-      RETURN_IF_ERROR(cache->ServeGroup(*base, exec, &targets));
-      // Flush-then-END mirrors the scan path exactly: one flush boundary
-      // after the whole group's entries, then each member's closing marker.
-      RETURN_IF_ERROR(shared_sender.Flush());
-      for (const auto& owned : owned_senders) RETURN_IF_ERROR(owned->Flush());
-      for (size_t i = 0; i < states.size(); ++i) {
-        MemberState& state = states[i];
-        RETURN_IF_ERROR(senders[i]->Send(MakeEndOfRefresh(
-            state.member.desc->id, state.last_qual, end_time)));
-        SNAPDIFF_LOG(Debug)
-            << "differential refresh served from delta cache"
-            << obs::kv("snapshot", state.member.desc->name)
-            << obs::kv("snap_time", state.member.snap_time);
-      }
+      RETURN_IF_ERROR(
+          cache->ServeGroup(*base, epoch.cut_tick, exec, &targets));
+      RETURN_IF_ERROR(flush_senders());
+      RETURN_IF_ERROR(send_ends());
       serve_span.Note("members", states.size());
       serve_span.Close();
       return Status::OK();
     }
   }
 
-  // Only refresh events need distinct times, so a single FixupTime stamps
-  // every repair in this pass and becomes the new SnapTime of every member.
-  const Timestamp fixup_time = base->oracle()->Next();
+  // Only refresh events need distinct times, so a single FixupTime — the
+  // epoch's cut time — stamps every repair in this pass and becomes the new
+  // SnapTime of every member.
+  const Timestamp fixup_time = epoch.cut_time;
 
   // Cache fills ride the scan: one per distinct class whose image is
   // missing or stale. A class that is still current (but dragged into the
@@ -490,7 +496,7 @@ Status ExecuteGroupDifferentialRefresh(
   if (cache != nullptr) {
     for (size_t i = 0; i < states.size(); ++i) {
       const SnapshotDescriptor& desc = *states[i].member.desc;
-      if (cache->CanServe(*base, desc)) continue;
+      if (cache->CanServe(*base, epoch.cut_tick, desc)) continue;
       cache->CountMiss();
       bool duplicate = false;
       for (const FillTarget& f : fills) {
@@ -513,15 +519,24 @@ Status ExecuteGroupDifferentialRefresh(
 
   FixupState fx{fixup_time, Address::Origin(), Address::Origin()};
   std::vector<PendingWrite> repairs;
+  // BaseFixup for the next row in address order, buffering the repair it
+  // calls for. `raw` is the stored image RepairNeedsImage asks for (empty
+  // otherwise).
+  auto fix_row = [&](Address addr, Address stored_prev, Timestamp stored_ts,
+                     std::string raw) {
+    const FixupResult fix = FixupRow(&fx, addr, stored_prev, stored_ts);
+    if (fix.write_needed) {
+      repairs.push_back(
+          {addr, fix.prev, fix.ts, stored_prev, stored_ts, std::move(raw)});
+    }
+    return fix;
+  };
 
-  const TableEpoch* epoch = exec.epoch.get();
   const size_t max_parallel =
       std::min<size_t>(exec.max_parallel_members, kMemberBitmapWidth);
   std::vector<BaseTable::ScanPartition> partitions;
   if (exec.workers > 1 && states.size() <= max_parallel) {
-    partitions = epoch != nullptr
-                     ? base->PartitionEpoch(*epoch, exec.workers)
-                     : base->Partition(exec.workers);
+    partitions = base->PartitionEpoch(epoch, exec.workers);
   }
 
   if (partitions.size() > 1) {
@@ -542,7 +557,7 @@ Status ExecuteGroupDifferentialRefresh(
       // the worker's own track.
       const uint64_t submitted_ticks = SNAPDIFF_FR_NOW();
       pending.push_back(exec.pool->Submit(
-          [base, epoch, &states, &fill_specs, part = partitions[p],
+          [base, &epoch, &states, &fill_specs, part = partitions[p],
            rows_counter, run = &runs[p], submitted_ticks]() -> Status {
             SNAPDIFF_FR_INSTANT("thread_pool.task.queue_ticks",
                                 SNAPDIFF_FR_NOW() - submitted_ticks);
@@ -571,11 +586,7 @@ Status ExecuteGroupDifferentialRefresh(
     for (std::vector<ExtractedRow>& run : runs) {
       for (ExtractedRow& er : run) {
         const FixupResult fix =
-            FixupRow(&fx, er.addr, er.stored_prev, er.stored_ts);
-        if (fix.write_needed) {
-          repairs.push_back({er.addr, fix.prev, fix.ts, er.stored_prev,
-                             er.stored_ts, std::move(er.raw)});
-        }
+            fix_row(er.addr, er.stored_prev, er.stored_ts, std::move(er.raw));
         // Fills first: ProcessRow may move the payload the fill copies.
         RETURN_IF_ERROR(ObserveFills(
             &fills, fix, er.addr, er.stored_prev, er.stored_ts,
@@ -605,10 +616,7 @@ Status ExecuteGroupDifferentialRefresh(
             }));
       }
     }
-    RETURN_IF_ERROR(shared_sender.Flush());
-    for (const std::unique_ptr<BatchingSender>& s : owned_senders) {
-      RETURN_IF_ERROR(s->Flush());
-    }
+    RETURN_IF_ERROR(flush_senders());
     if (!states.empty()) {
       merge_span.Note("entries", states[0].member.stats->entries_scanned);
     }
@@ -619,15 +627,10 @@ Status ExecuteGroupDifferentialRefresh(
     obs::Tracer::Span scan_span(tracer, "scan+transmit");
     auto visit_row =
         [&](Address addr, const BaseTable::AnnotatedView& row) -> Status {
-          const FixupResult fix =
-              FixupRow(&fx, addr, row.prev_addr, row.timestamp);
-          if (fix.write_needed) {
-            repairs.push_back(
-                {addr, fix.prev, fix.ts, row.prev_addr, row.timestamp,
-                 epoch != nullptr && RepairNeedsImage(row.timestamp)
-                     ? std::string(row.raw)
-                     : std::string()});
-          }
+          const FixupResult fix = fix_row(
+              addr, row.prev_addr, row.timestamp,
+              RepairNeedsImage(row.timestamp) ? std::string(row.raw)
+                                              : std::string());
           if (!fills.empty()) {
             // The fill needs each class representative's verdict even for
             // rows the transmit rule skips; re-evaluating here keeps the
@@ -665,14 +668,8 @@ Status ExecuteGroupDifferentialRefresh(
                 return payload;
               });
         };
-    Status scan_status = epoch != nullptr
-                             ? base->ScanAnnotatedAtEpoch(*epoch, visit_row)
-                             : base->ScanAnnotated(visit_row);
-    RETURN_IF_ERROR(scan_status);
-    RETURN_IF_ERROR(shared_sender.Flush());
-    for (const std::unique_ptr<BatchingSender>& s : owned_senders) {
-      RETURN_IF_ERROR(s->Flush());
-    }
+    RETURN_IF_ERROR(base->ScanAnnotatedAtEpoch(epoch, visit_row));
+    RETURN_IF_ERROR(flush_senders());
     if (!states.empty()) {
       scan_span.Note("entries", states[0].member.stats->entries_scanned);
     }
@@ -684,43 +681,34 @@ Status ExecuteGroupDifferentialRefresh(
   uint64_t applied_repairs = 0;
   uint64_t skipped_repairs = 0;
   for (const PendingWrite& w : repairs) {
-    if (epoch != nullptr) {
-      // Conditional: the repair holds only while the live row still carries
-      // the annotations this scan observed at the cut. A writer that has
-      // since touched the row wins; the dropped repair is re-derived by the
-      // next refresh (the writer NULLed the stamp or repaired the chain).
-      bool applied = false;
-      RETURN_IF_ERROR(base->WriteAnnotationsIf(w.addr, w.expect_prev,
-                                               w.expect_ts, w.expect_bytes,
-                                               w.prev, w.ts, &applied));
-      if (applied) {
-        ++applied_repairs;
-        for (MemberState& state : states) ++state.member.stats->base_writes;
-      } else {
-        ++skipped_repairs;
-        for (MemberState& state : states) {
-          ++state.member.stats->fixups_skipped;
-        }
-      }
-    } else {
-      RETURN_IF_ERROR(base->WriteAnnotations(w.addr, w.prev, w.ts));
+    // Conditional: the repair holds only while the live row still carries
+    // the annotations this scan observed at the cut. A writer that has
+    // since touched the row wins; the dropped repair is re-derived by the
+    // next refresh (the writer NULLed the stamp or repaired the chain).
+    bool applied = false;
+    RETURN_IF_ERROR(base->WriteAnnotationsIf(w.addr, w.expect_prev,
+                                             w.expect_ts, w.expect_bytes,
+                                             w.prev, w.ts, &applied));
+    if (applied) {
+      ++applied_repairs;
       for (MemberState& state : states) ++state.member.stats->base_writes;
+    } else {
+      ++skipped_repairs;
+      for (MemberState& state : states) ++state.member.stats->fixups_skipped;
     }
   }
   fixup_span.Close();
 
   // Commit the cache fills only now: the images must be stamped with the
   // mutation tick as of *after* the fix-up repairs, the state a future
-  // unchanged-base rescan would observe. On the epoch path the image is
-  // only exact when no concurrent writer interleaved — every repair landed
-  // and the tick advanced by exactly the repairs we applied; otherwise the
-  // fill is dropped (the next refresh re-fills from its own scan).
+  // unchanged-base rescan would observe. The image is only exact when no
+  // concurrent writer interleaved — every repair landed and the tick
+  // advanced by exactly the repairs we applied; otherwise the fill is
+  // dropped (the next refresh re-fills from its own scan).
   if (cache != nullptr) {
     const uint64_t commit_tick = base->mutation_tick();
-    const bool image_exact =
-        epoch == nullptr ||
-        (skipped_repairs == 0 &&
-         commit_tick == epoch->cut_tick + applied_repairs);
+    const bool image_exact = skipped_repairs == 0 &&
+                             commit_tick == epoch.cut_tick + applied_repairs;
     for (FillTarget& f : fills) {
       if (image_exact) {
         cache->CommitFill(std::move(f.filler), commit_tick);
@@ -728,32 +716,18 @@ Status ExecuteGroupDifferentialRefresh(
     }
   }
 
-  // "Handle deletions at end of BaseTable" + transmit the new SnapTime,
-  // once per member. (The senders are already drained, so these pass
-  // through unbatched like every control message.)
   obs::Tracer::Span end_span(tracer, "end-of-refresh");
-  for (size_t i = 0; i < states.size(); ++i) {
-    MemberState& state = states[i];
-    RETURN_IF_ERROR(senders[i]->Send(MakeEndOfRefresh(
-        state.member.desc->id, state.last_qual, fixup_time)));
-    SNAPDIFF_LOG(Debug)
-        << "differential refresh transmitted"
-        << obs::kv("snapshot", state.member.desc->name)
-        << obs::kv("entries_scanned", state.member.stats->entries_scanned)
-        << obs::kv("fixups_inserted", state.member.stats->fixups_inserted)
-        << obs::kv("fixups_updated", state.member.stats->fixups_updated)
-        << obs::kv("fixups_deleted", state.member.stats->fixups_deleted);
-  }
-  return Status::OK();
+  return send_ends();
 }
 
-Status ExecuteDifferentialRefresh(BaseTable* base, SnapshotDescriptor* desc,
+Status ExecuteDifferentialRefresh(BaseTable* base, const TableEpoch& epoch,
+                                  SnapshotDescriptor* desc,
                                   Timestamp snap_time, MessageSink* channel,
                                   RefreshStats* stats, obs::Tracer* tracer,
                                   const RefreshExecution& exec) {
   std::vector<GroupRefreshMember> members{{desc, snap_time, stats}};
-  return ExecuteGroupDifferentialRefresh(base, &members, channel, tracer,
-                                         exec);
+  return ExecuteGroupDifferentialRefresh(base, epoch, &members, channel,
+                                         tracer, exec);
 }
 
 }  // namespace snapdiff

@@ -22,13 +22,20 @@ namespace snapdiff {
 ///   * the scan closes with END_OF_REFRESH(LastQual, new SnapTime), which
 ///     also covers deletions at the end of the table.
 ///
-/// The caller must hold the table lock (exclusive: the fix-up writes).
-/// Works for both kLazy (fix-up active) and kEager (fix-up finds nothing to
-/// repair) annotation modes; fails for kNone.
+/// The scan reads `epoch`'s cut while writers keep mutating the live table;
+/// no table lock is needed. Fix-ups are conditional (WriteAnnotationsIf): a
+/// repair of a row a writer touched since the cut is skipped and
+/// re-derived by the next refresh. The caller must keep other refreshes of
+/// the same table out (SnapshotSystem's per-table admission), since two
+/// refreshes would race on the fix-ups. Works for both kLazy (fix-up
+/// active) and kEager (fix-up finds nothing to repair) annotation modes;
+/// fails for kNone.
 ///
-/// `snap_time` is the SnapTime from the refresh request. On success the new
-/// SnapTime (= the fix-up timestamp) has been transmitted in the closing
-/// message and recorded in stats->new_snap_time.
+/// `snap_time` is the SnapTime from the refresh request. FixupTime is
+/// `epoch.cut_time`, the one timestamp drawn at the cut: it stamps every
+/// repair and, as the new SnapTime, is transmitted in the closing message.
+/// A write after the cut therefore always carries a newer timestamp and is
+/// picked up by the next refresh.
 /// `tracer`, when given, receives nested spans (scan+transmit,
 /// fixup-writes, end-of-refresh; the parallel path replaces scan+transmit
 /// with partition-extract and merge+transmit) under the caller's current
@@ -42,7 +49,8 @@ namespace snapdiff {
 /// message stream is byte-identical to the sequential scan. With
 /// `batch_size > 1` consecutive ENTRY messages per snapshot coalesce into
 /// ENTRY_BATCH wire messages (see BatchingSender).
-Status ExecuteDifferentialRefresh(BaseTable* base, SnapshotDescriptor* desc,
+Status ExecuteDifferentialRefresh(BaseTable* base, const TableEpoch& epoch,
+                                  SnapshotDescriptor* desc,
                                   Timestamp snap_time, MessageSink* channel,
                                   RefreshStats* stats,
                                   obs::Tracer* tracer = nullptr,
@@ -74,12 +82,14 @@ struct GroupRefreshMember {
 /// back to the sequential scan.
 ///
 /// With `exec.delta_cache` set, the executor first asks the cache whether
-/// *every* member's class image is current; if so the whole group is
-/// served from memory — zero base-table reads, one oracle draw, the same
-/// byte streams a scan would emit (see snapshot/delta_cache.h). Otherwise
+/// *every* member's class image is current at the cut (`epoch.cut_tick`);
+/// if so the whole group is served from memory — zero base-table reads,
+/// the same byte streams a scan would emit (see snapshot/delta_cache.h),
+/// END stamped with `epoch.cut_time` either way. Otherwise
 /// the scan runs and re-fills one image per distinct stale class as a side
 /// effect, on both the sequential and the parallel path.
 Status ExecuteGroupDifferentialRefresh(BaseTable* base,
+                                       const TableEpoch& epoch,
                                        std::vector<GroupRefreshMember>*
                                            members,
                                        MessageSink* channel,

@@ -8,38 +8,13 @@
 
 namespace snapdiff {
 
-namespace {
-
-/// Serializes and ships one qualified row straight from its pinned view.
-/// On a resumed session's fast-forward region, projection + serialization
-/// are skipped: the message only spends a sequence number.
-Status TransmitRow(SnapshotDescriptor* desc,
-                   const std::vector<size_t>& projection_indices,
-                   Address addr, const TupleView& user_row,
-                   BatchingSender* sender, const RefreshExecution& exec) {
-  std::string payload;
-  if (!NextSendSuppressed(exec)) {
-    RETURN_IF_ERROR(user_row.AppendProjectionTo(projection_indices, &payload));
-  }
-  return sender->Send(MakeUpsert(desc->id, addr, std::move(payload)));
-}
-
-}  // namespace
-
-Status ExecuteFullRefresh(BaseTable* base, SnapshotDescriptor* desc,
-                          MessageSink* channel, RefreshStats* stats,
-                          obs::Tracer* tracer, const RefreshExecution& exec) {
-  std::vector<size_t> projection_indices;
-  projection_indices.reserve(desc->projection.size());
-  for (const std::string& name : desc->projection) {
-    ASSIGN_OR_RETURN(size_t idx, base->user_schema().IndexOf(name));
-    projection_indices.push_back(idx);
-  }
-  const Timestamp now = base->oracle()->Next();
-  MessageSink* sink = exec.session != nullptr
-                          ? static_cast<MessageSink*>(exec.session)
-                          : channel;
-  BatchingSender sender(sink, exec.batch_size);
+Status ExecuteFullRefresh(BaseTable* base, const TableEpoch& epoch,
+                          SnapshotDescriptor* desc, MessageSink* channel,
+                          RefreshStats* stats, obs::Tracer* tracer,
+                          const RefreshExecution& exec) {
+  ASSIGN_OR_RETURN(const std::vector<size_t> projection_indices,
+                   base->ProjectionIndices(desc->projection));
+  BatchingSender sender(StreamSink(exec, channel), exec.batch_size);
 
   {
     obs::Tracer::Span clear_span(tracer, "clear");
@@ -56,39 +31,15 @@ Status ExecuteFullRefresh(BaseTable* base, SnapshotDescriptor* desc,
   SecondaryIndex* index =
       range.has_value() ? base->FindSecondaryIndex(range->column) : nullptr;
 
-  if (index != nullptr && exec.epoch == nullptr) {
+  if (index != nullptr) {
+    // The live index may already reflect post-cut writes, so candidates
+    // are buffered through epoch point reads and the result only trusted
+    // when the mutation tick proves nothing interleaved between the cut and
+    // the index read; otherwise the rows are rebuilt from the epoch scan
+    // and re-sorted into index order (order-preserving key, then address),
+    // so the stream matches a quiesced index select byte for byte either
+    // way.
     obs::Tracer::Span span(tracer, "index-select+transmit");
-    ASSIGN_OR_RETURN(std::vector<Address> addresses,
-                     index->SelectRange(*range));
-    span.Note("candidates", addresses.size());
-    for (Address addr : addresses) {
-      ++stats->base_reads;
-      // Point read through the pin guard: the view (and the payload
-      // serialization below) runs against the pinned frame directly.
-      ASSIGN_OR_RETURN(TableHeap::TupleRef ref,
-                       base->info()->heap->GetView(addr));
-      ASSIGN_OR_RETURN(BaseTable::AnnotatedView row,
-                       base->SplitStoredView(ref.bytes));
-      if (!range->exact) {
-        ASSIGN_OR_RETURN(bool qualified,
-                         EvaluatePredicate(*desc->restriction, row.user,
-                                           base->user_schema()));
-        if (!qualified) continue;
-      }
-      RETURN_IF_ERROR(TransmitRow(desc, projection_indices, addr, row.user,
-                                  &sender, exec));
-    }
-    RETURN_IF_ERROR(sender.Flush());
-  } else if (index != nullptr) {
-    // Epoch-aware index path. The live index may already reflect post-cut
-    // writes, so candidates are buffered through epoch point reads and the
-    // result only trusted when the mutation tick proves nothing interleaved
-    // between the cut and the index read; otherwise the rows are rebuilt
-    // from the epoch scan and re-sorted into index order (order-preserving
-    // key, then address), so the stream matches a quiesced index select
-    // byte for byte either way.
-    obs::Tracer::Span span(tracer, "index-select+transmit");
-    const TableEpoch& epoch = *exec.epoch;
     ASSIGN_OR_RETURN(std::vector<Address> addresses,
                      index->SelectRange(*range));
     span.Note("candidates", addresses.size());
@@ -168,21 +119,23 @@ Status ExecuteFullRefresh(BaseTable* base, SnapshotDescriptor* desc,
                        EvaluatePredicate(*desc->restriction, row.user,
                                          base->user_schema()));
       if (!qualified) return Status::OK();
-      return TransmitRow(desc, projection_indices, addr, row.user, &sender,
-                         exec);
+      // Serialized straight from the pinned view. On a resumed session's
+      // fast-forward region the message only spends a sequence number.
+      std::string payload;
+      if (!NextSendSuppressed(exec)) {
+        RETURN_IF_ERROR(
+            row.user.AppendProjectionTo(projection_indices, &payload));
+      }
+      return sender.Send(MakeUpsert(desc->id, addr, std::move(payload)));
     };
-    Status scan_status =
-        exec.epoch != nullptr
-            ? base->ScanAnnotatedAtEpoch(*exec.epoch, visit)
-            : base->ScanAnnotated(visit);
-    RETURN_IF_ERROR(scan_status);
+    RETURN_IF_ERROR(base->ScanAnnotatedAtEpoch(epoch, visit));
     RETURN_IF_ERROR(sender.Flush());
   }
 
   // No positional tail semantics: the snapshot was cleared up front.
   obs::Tracer::Span end_span(tracer, "end-of-refresh");
   RETURN_IF_ERROR(
-      sender.Send(MakeEndOfRefresh(desc->id, Address::Null(), now)));
+      sender.Send(MakeEndOfRefresh(desc->id, Address::Null(), epoch.cut_time)));
   return Status::OK();
 }
 

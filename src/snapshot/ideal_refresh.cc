@@ -4,22 +4,15 @@
 
 namespace snapdiff {
 
-Status ExecuteIdealRefresh(BaseTable* base, SnapshotDescriptor* desc,
-                           MessageSink* channel, RefreshStats* stats,
-                           obs::Tracer* tracer,
+Status ExecuteIdealRefresh(BaseTable* base, const TableEpoch& epoch,
+                           SnapshotDescriptor* desc, MessageSink* channel,
+                           RefreshStats* stats, obs::Tracer* tracer,
                            const RefreshExecution& exec) {
-  std::vector<size_t> projection_indices;
-  projection_indices.reserve(desc->projection.size());
-  for (const std::string& name : desc->projection) {
-    ASSIGN_OR_RETURN(size_t idx, base->user_schema().IndexOf(name));
-    projection_indices.push_back(idx);
-  }
-  const Timestamp now = base->oracle()->Next();
-  MessageSink* sink = exec.session != nullptr
-                          ? static_cast<MessageSink*>(exec.session)
-                          : channel;
+  ASSIGN_OR_RETURN(const std::vector<size_t> projection_indices,
+                   base->ProjectionIndices(desc->projection));
+  MessageSink* sink = StreamSink(exec, channel);
 
-  // Current qualified projection (as of the epoch's cut when one is set).
+  // Current qualified projection as of the epoch's cut.
   obs::Tracer::Span scan_span(tracer, "scan");
   std::map<Address, std::string> current;
   auto visit =
@@ -35,9 +28,7 @@ Status ExecuteIdealRefresh(BaseTable* base, SnapshotDescriptor* desc,
     current.emplace(addr, std::move(payload));
     return Status::OK();
   };
-  RETURN_IF_ERROR(exec.epoch != nullptr
-                      ? base->ScanAnnotatedAtEpoch(*exec.epoch, visit)
-                      : base->ScanAnnotated(visit));
+  RETURN_IF_ERROR(base->ScanAnnotatedAtEpoch(epoch, visit));
 
   scan_span.Note("qualified", current.size());
   scan_span.Close();
@@ -58,7 +49,7 @@ Status ExecuteIdealRefresh(BaseTable* base, SnapshotDescriptor* desc,
   diff_span.Close();
   obs::Tracer::Span end_span(tracer, "end-of-refresh");
   RETURN_IF_ERROR(
-      sink->Send(MakeEndOfRefresh(desc->id, Address::Null(), now)));
+      sink->Send(MakeEndOfRefresh(desc->id, Address::Null(), epoch.cut_time)));
   end_span.Close();
   // Stage the shadow advance; the caller commits it only once the snapshot
   // site confirms the refresh applied. Committing it here would silently

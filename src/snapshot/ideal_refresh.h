@@ -20,10 +20,11 @@ namespace snapdiff {
 /// commits it once the snapshot site confirms the refresh applied (see
 /// SnapshotDescriptor). `exec.session` makes the transmission resumable
 /// (the delta iterates in deterministic address order); the batching and
-/// parallel knobs are ignored.
-Status ExecuteIdealRefresh(BaseTable* base, SnapshotDescriptor* desc,
-                           MessageSink* channel, RefreshStats* stats,
-                           obs::Tracer* tracer = nullptr,
+/// parallel knobs are ignored. The current projection is read at
+/// `epoch`'s cut, and END_OF_REFRESH carries `epoch.cut_time`.
+Status ExecuteIdealRefresh(BaseTable* base, const TableEpoch& epoch,
+                           SnapshotDescriptor* desc, MessageSink* channel,
+                           RefreshStats* stats, obs::Tracer* tracer = nullptr,
                            const RefreshExecution& exec = {});
 
 }  // namespace snapdiff

@@ -5,9 +5,9 @@
 
 namespace snapdiff {
 
-Status ExecuteLogBasedRefresh(BaseTable* base, SnapshotDescriptor* desc,
-                              MessageSink* channel, RefreshStats* stats,
-                              obs::Tracer* tracer,
+Status ExecuteLogBasedRefresh(BaseTable* base, const TableEpoch& epoch,
+                              SnapshotDescriptor* desc, MessageSink* channel,
+                              RefreshStats* stats, obs::Tracer* tracer,
                               const RefreshExecution& exec) {
   if (base->wal() == nullptr) {
     return Status::InvalidArgument(
@@ -15,21 +15,15 @@ Status ExecuteLogBasedRefresh(BaseTable* base, SnapshotDescriptor* desc,
   }
   ASSIGN_OR_RETURN(Schema projected_schema,
                    base->user_schema().Project(desc->projection));
-  const Timestamp now = base->oracle()->Next();
-  MessageSink* sink = exec.session != nullptr
-                          ? static_cast<MessageSink*>(exec.session)
-                          : channel;
+  MessageSink* sink = StreamSink(exec, channel);
 
-  // With a scan epoch, the cull (and the staged log-position advance) stop
-  // at the cut's LSN: writers committing past the cut are invisible to this
-  // refresh and picked up by the next one.
-  const Lsn cut_lsn =
-      exec.epoch != nullptr ? exec.epoch->cut_lsn : kInvalidLsn;
-
+  // The cull (and the staged log-position advance) stop at the cut's LSN:
+  // writers committing past the cut are invisible to this refresh and
+  // picked up by the next one.
   obs::Tracer::Span cull_span(tracer, "cull");
   CullStats cull;
   auto changes = base->wal()->CollectCommittedChanges(
-      base->info()->id, desc->last_refresh_lsn, &cull, cut_lsn);
+      base->info()->id, desc->last_refresh_lsn, &cull, epoch.cut_lsn);
   stats->log_records_culled += cull.records_scanned;
   cull_span.Note("records_scanned", cull.records_scanned);
   cull_span.Note("relevant", cull.relevant_records);
@@ -42,10 +36,9 @@ Status ExecuteLogBasedRefresh(BaseTable* base, SnapshotDescriptor* desc,
     SNAPDIFF_LOG(Warn) << "log truncated past last refresh; falling back"
                        << obs::kv("snapshot", desc->name)
                        << obs::kv("last_refresh_lsn", desc->last_refresh_lsn);
-    RETURN_IF_ERROR(ExecuteFullRefresh(base, desc, channel, stats, tracer,
-                                       exec));
-    desc->pending_refresh_lsn =
-        cut_lsn != kInvalidLsn ? cut_lsn : base->wal()->LastLsn();
+    RETURN_IF_ERROR(ExecuteFullRefresh(base, epoch, desc, channel, stats,
+                                       tracer, exec));
+    desc->pending_refresh_lsn = epoch.cut_lsn;
     return Status::OK();
   }
 
@@ -79,13 +72,12 @@ Status ExecuteLogBasedRefresh(BaseTable* base, SnapshotDescriptor* desc,
   transmit_span.Close();
   obs::Tracer::Span end_span(tracer, "end-of-refresh");
   RETURN_IF_ERROR(
-      sink->Send(MakeEndOfRefresh(desc->id, Address::Null(), now)));
+      sink->Send(MakeEndOfRefresh(desc->id, Address::Null(), epoch.cut_time)));
   end_span.Close();
   // Stage the log-position advance; the caller commits it only once the
   // snapshot site confirms the refresh applied, so a lost message leaves
   // the refresh resumable from the same point.
-  desc->pending_refresh_lsn =
-      cut_lsn != kInvalidLsn ? cut_lsn : base->wal()->LastLsn();
+  desc->pending_refresh_lsn = epoch.cut_lsn;
   return Status::OK();
 }
 

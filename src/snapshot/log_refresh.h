@@ -24,9 +24,11 @@ namespace snapdiff {
 /// desc->pending_refresh_lsn; the caller commits it once the snapshot site
 /// confirms the refresh applied (see SnapshotDescriptor). `exec.session`
 /// makes the transmission resumable; only the batching/parallel knobs are
-/// ignored (the change list is already minimal).
-Status ExecuteLogBasedRefresh(BaseTable* base, SnapshotDescriptor* desc,
-                              MessageSink* channel, RefreshStats* stats,
+/// ignored (the change list is already minimal). The cull stops at
+/// `epoch.cut_lsn`, and END_OF_REFRESH carries `epoch.cut_time`.
+Status ExecuteLogBasedRefresh(BaseTable* base, const TableEpoch& epoch,
+                              SnapshotDescriptor* desc, MessageSink* channel,
+                              RefreshStats* stats,
                               obs::Tracer* tracer = nullptr,
                               const RefreshExecution& exec = {});
 

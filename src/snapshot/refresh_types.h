@@ -18,7 +18,6 @@ namespace snapdiff {
 
 class ThreadPool;
 class DeltaCache;   // snapshot/delta_cache.h
-class TableEpoch;   // storage/table_heap.h
 
 /// Execution knobs shared by the refresh executors. The defaults reproduce
 /// the paper's single-threaded, unbatched pipeline exactly; turning either
@@ -51,13 +50,6 @@ struct RefreshExecution {
   /// base reads) and filled as a side effect of every scan that does run.
   /// See snapshot/delta_cache.h. Null disables caching entirely.
   DeltaCache* delta_cache = nullptr;
-  /// Non-null: the copy-on-write scan epoch this refresh reads. The scan
-  /// visits exactly the rows live at the epoch's cut (writers proceed
-  /// concurrently, cloning touched pages into the epoch), and fix-ups go
-  /// through BaseTable::WriteAnnotationsIf so repairs race-condition-free
-  /// skip rows a writer has since touched. Null: scan the live heap
-  /// directly (legacy quiesced path; identical when no writers run).
-  std::shared_ptr<TableEpoch> epoch;
 };
 
 /// True when the next message an executor sends is certain to be
@@ -68,6 +60,13 @@ struct RefreshExecution {
 inline bool NextSendSuppressed(const RefreshExecution& exec) {
   return exec.session != nullptr && exec.batch_size <= 1 &&
          exec.session->NextSuppressed();
+}
+
+/// Where an executor's messages go: through the resumable session when one
+/// is set, else straight onto `channel`.
+inline MessageSink* StreamSink(const RefreshExecution& exec,
+                               MessageSink* channel) {
+  return exec.session != nullptr ? exec.session : channel;
 }
 
 /// Retry behaviour of SnapshotSystem::Refresh when the transmission fails
@@ -92,7 +91,7 @@ enum class RefreshMethod {
   /// Re-transmit every qualified entry; snapshot is cleared first.
   kFull,
   /// The paper's contribution: annotation-driven differential refresh
-  /// (single combined fix-up + transmit scan under a table lock).
+  /// (single combined fix-up + transmit scan of one epoch's cut).
   kDifferential,
   /// Oracle baseline: transmit exactly the net changes (old/new values kept
   /// by a measurement-only shadow on the base site).

@@ -42,6 +42,13 @@ ChannelOptions WithMetricsPrefix(ChannelOptions options, const char* prefix) {
   return options;
 }
 
+/// Releases every lock a refresh took under `txn` on every exit path.
+struct LockScope {
+  LockManager* locks;
+  TxnId txn;
+  ~LockScope() { locks->ReleaseAll(txn); }
+};
+
 /// Ends the trace on every exit path (error returns included) without
 /// clobbering an explicit End() on the success path.
 struct TraceEndGuard {
@@ -142,10 +149,6 @@ RefreshExecution SnapshotSystem::MakeRefreshExecution(
   exec.session = session;
   exec.delta_cache = delta_cache_.get();
   return exec;
-}
-
-RefreshExecution SnapshotSystem::MakeRefreshExecution() {
-  return MakeRefreshExecution(RefreshRequest{}, nullptr);
 }
 
 SnapshotSystem::AdmissionGuard::~AdmissionGuard() {
@@ -377,6 +380,7 @@ void SnapshotSystem::AttachWireCodecs(SnapshotSite* site) {
   };
   site->encoder = std::make_unique<WireEncoder>(codec, resolver, wire_memo_);
   site->decoder = std::make_unique<WireDecoder>(codec, resolver);
+  site->applier = SessionApplier(site->decoder.get());
 }
 
 std::vector<std::string> SnapshotSystem::SnapshotSiteNames() const {
@@ -591,15 +595,7 @@ Status SnapshotSystem::DropSnapshot(const std::string& snapshot_name) {
   }
   // Any live served session of this snapshot loses its meaning (and must
   // not leak its base-table lock).
-  {
-    std::vector<uint64_t> stale;
-    for (const auto& [sid, session] : serve_sessions_) {
-      if (session.snapshot_id == it->second.descriptor.id) {
-        stale.push_back(sid);
-      }
-    }
-    for (uint64_t sid : stale) EvictServeSession(sid);
-  }
+  EvictServeSessionsOf(it->second.descriptor.id);
   snapshots_by_id_.erase(it->second.descriptor.id);
   RETURN_IF_ERROR(it->second.site->catalog.DropTable(snapshot_name));
   snapshots_.erase(it);
@@ -622,107 +618,34 @@ Result<SnapshotTable*> SnapshotSystem::GetSnapshot(
   return entry->table.get();
 }
 
-Status SnapshotSystem::ApplyDelivered(const Message& msg,
-                                      const SnapshotEntry* attributed,
-                                      RefreshStats* stats,
-                                      uint64_t* applied) {
-  auto it = snapshots_by_id_.find(msg.snapshot_id);
-  if (it == snapshots_by_id_.end()) {
-    // Message for a dropped snapshot: discard.
-    return Status::OK();
-  }
-  RefreshStats* apply_stats =
-      (attributed != nullptr && it->second == attributed) ? stats : nullptr;
-  // Admission is the decode point for compact-wire streams: exactly once,
-  // in sequence order, which is what keeps the decoder's row shadow in
-  // lockstep with the base side's encoder.
-  Message decoded;
-  const Message* to_apply = &msg;
-  if (it->second->site->decoder != nullptr) {
-    ASSIGN_OR_RETURN(decoded, it->second->site->decoder->Admit(msg));
-    to_apply = &decoded;
-  }
-  RETURN_IF_ERROR(it->second->table->ApplyMessage(*to_apply, apply_stats));
-  if (applied != nullptr) ++*applied;
-  return Status::OK();
-}
-
-Status SnapshotSystem::DeliverMessage(SnapshotSite* site, const Message& msg,
-                                      const SnapshotEntry* attributed,
-                                      RefreshStats* stats,
-                                      uint64_t* applied) {
-  if (msg.session_id == 0) {
-    // Session-less stream (ASAP propagation, group refresh, joins): apply
-    // on arrival, exactly the pre-session behavior.
-    return ApplyDelivered(msg, attributed, stats, applied);
-  }
-  ApplySessionState& sess = site->sessions[msg.session_id];
-  if (sess.snapshot_id == 0) sess.snapshot_id = msg.snapshot_id;
-  if (msg.seq <= sess.last_applied_seq) {
-    // Duplicate of the applied prefix (channel duplication or an overlap
-    // between a resumed attempt and late arrivals): drop.
-    ++sess.duplicates_dropped;
-    return Status::OK();
-  }
-  if (msg.seq > sess.last_applied_seq + 1) {
-    // Early arrival across a gap: hold until the prefix closes.
-    sess.held.emplace(msg.seq, msg);
-    return Status::OK();
-  }
-  RETURN_IF_ERROR(ApplyDelivered(msg, attributed, stats, applied));
-  sess.last_applied_seq = msg.seq;
-  if (msg.type == MessageType::kEndOfRefresh) sess.end_applied = true;
-  // The admitted message may close the gap in front of held arrivals.
-  auto held = sess.held.begin();
-  while (held != sess.held.end() &&
-         held->first == sess.last_applied_seq + 1) {
-    RETURN_IF_ERROR(ApplyDelivered(held->second, attributed, stats, applied));
-    sess.last_applied_seq = held->first;
-    if (held->second.type == MessageType::kEndOfRefresh) {
-      sess.end_applied = true;
+Result<uint64_t> SnapshotSystem::DeliverPending(
+    SnapshotSite* site, const std::map<SnapshotId, RefreshStats*>& attributed) {
+  uint64_t applied = 0;
+  const SessionApplier::ApplyFn apply =
+      [&](const Message& msg, const Message& arrived) -> Status {
+    auto it = snapshots_by_id_.find(msg.snapshot_id);
+    if (it == snapshots_by_id_.end()) return Status::OK();  // dropped since
+    auto attr = attributed.find(msg.snapshot_id);
+    RefreshStats* stats = attr == attributed.end() ? nullptr : attr->second;
+    if (stats != nullptr) {
+      CountMessage(arrived, arrived.SerializedSize(), &stats->traffic);
     }
-    held = sess.held.erase(held);
-  }
-  return Status::OK();
-}
-
-Status SnapshotSystem::DeliverPending(SnapshotSite* site,
-                                      const SnapshotEntry* attributed,
-                                      RefreshStats* stats,
-                                      uint64_t* applied) {
+    RETURN_IF_ERROR(it->second->table->ApplyMessage(msg, stats));
+    ++applied;
+    return Status::OK();
+  };
   while (site->channel.HasPending()) {
     ASSIGN_OR_RETURN(Message msg, site->channel.Receive());
-    RETURN_IF_ERROR(DeliverMessage(site, msg, attributed, stats, applied));
+    // A dropped snapshot's messages are discarded unread (not decoded).
+    if (!snapshots_by_id_.contains(msg.snapshot_id)) continue;
+    RETURN_IF_ERROR(site->applier.Offer(msg, apply));
   }
-  return Status::OK();
-}
-
-void SnapshotSystem::PruneSessions(SnapshotSite* site,
-                                   SnapshotId snapshot_id) {
-  for (auto it = site->sessions.begin(); it != site->sessions.end();) {
-    if (it->second.snapshot_id == snapshot_id) {
-      it = site->sessions.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-uint64_t SnapshotSystem::SessionLastApplied(const SnapshotSite* site,
-                                            uint64_t session_id) const {
-  auto it = site->sessions.find(session_id);
-  return it == site->sessions.end() ? 0 : it->second.last_applied_seq;
-}
-
-bool SnapshotSystem::SessionComplete(const SnapshotSite* site,
-                                     uint64_t session_id) const {
-  auto it = site->sessions.find(session_id);
-  return it != site->sessions.end() && it->second.end_applied;
+  return applied;
 }
 
 Status SnapshotSystem::DrainChannel() {
   for (auto& [name, site] : sites_) {
-    RETURN_IF_ERROR(DeliverPending(site.get(), nullptr, nullptr));
+    RETURN_IF_ERROR(DeliverPending(site.get()).status());
   }
   return Status::OK();
 }
@@ -739,52 +662,49 @@ Status SnapshotSystem::RunRefreshAttempt(
     // General (join) snapshot: always a session-less full re-evaluation.
     return ExecuteJoinFullRefresh(entry->join.get(), channel, stats, tracer);
   }
-  RefreshExecution exec = MakeRefreshExecution(request, session);
-  exec.epoch = epoch;
+  const RefreshExecution exec = MakeRefreshExecution(request, session);
   switch (method) {
     case RefreshMethod::kFull: {
-      RETURN_IF_ERROR(
-          ExecuteFullRefresh(base, desc, channel, stats, tracer, exec));
-      if (desc->method == RefreshMethod::kLogBased && base->wal() != nullptr) {
-        // A full override of a log-based snapshot subsumes the backlog,
-        // exactly like the executor's own truncation fallback.
-        desc->pending_refresh_lsn = base->wal()->LastLsn();
+      RETURN_IF_ERROR(ExecuteFullRefresh(base, *epoch, desc, channel, stats,
+                                         tracer, exec));
+      if (desc->method == RefreshMethod::kLogBased) {
+        // A full override of a log-based snapshot subsumes the backlog up
+        // to the cut, exactly like the executor's own truncation fallback.
+        desc->pending_refresh_lsn = epoch->cut_lsn;
       }
       return Status::OK();
     }
     case RefreshMethod::kDifferential:
-      return ExecuteDifferentialRefresh(base, desc, request_time, channel,
-                                        stats, tracer, exec);
+      return ExecuteDifferentialRefresh(base, *epoch, desc, request_time,
+                                        channel, stats, tracer, exec);
     case RefreshMethod::kIdeal:
-      return ExecuteIdealRefresh(base, desc, channel, stats, tracer, exec);
+      return ExecuteIdealRefresh(base, *epoch, desc, channel, stats, tracer,
+                                 exec);
     case RefreshMethod::kLogBased:
-      return ExecuteLogBasedRefresh(base, desc, channel, stats, tracer,
-                                    exec);
+      return ExecuteLogBasedRefresh(base, *epoch, desc, channel, stats,
+                                    tracer, exec);
     case RefreshMethod::kAsap: {
       // The demand's SnapTime, not the local replica's: a remote client
       // reports its own SnapTime, and for the in-process site the two are
       // identical (the request echoes entry->table->snap_time()).
       if (request_time == kNullTimestamp) {
-        // First refresh initializes the replica with a full copy; changes
-        // made before the snapshot existed were never streamed. Without an
-        // epoch the copy reads the live table, so anything the propagator
-        // buffered is subsumed by it. With an epoch, buffered changes may
-        // postdate the cut — the caller paused propagation and flushes
-        // them after the copy instead (idempotent for the pre-cut ones).
-        if (entry->asap != nullptr && epoch == nullptr) {
-          entry->asap->DiscardBuffered();
-        }
-        return ExecuteFullRefresh(base, desc, channel, stats, tracer, exec);
+        // First refresh initializes the replica with a full copy of the
+        // cut; changes made before the snapshot existed were never
+        // streamed. Buffered changes may postdate the cut — the caller
+        // paused propagation and flushes them after the copy (idempotent
+        // for the pre-cut ones).
+        return ExecuteFullRefresh(base, *epoch, desc, channel, stats, tracer,
+                                  exec);
       }
       // Thereafter changes are already streamed; flush any partition
-      // backlog and stamp the snapshot with a fresh base time. The flush
+      // backlog and stamp the snapshot with the cut's time. The flush
       // re-sends buffered (session-less) propagation messages; only the
       // END rides the session.
       if (entry->asap != nullptr) {
         RETURN_IF_ERROR(entry->asap->FlushBuffered());
       }
-      const Message end = MakeEndOfRefresh(desc->id, Address::Null(),
-                                           base->oracle()->Next());
+      const Message end =
+          MakeEndOfRefresh(desc->id, Address::Null(), epoch->cut_time);
       return session != nullptr ? session->Send(end) : channel->Send(end);
     }
   }
@@ -841,9 +761,6 @@ Result<RefreshReport> SnapshotSystem::Refresh(const RefreshRequest& request) {
     obs::Tracer::Span drain_span(&tracer_, "drain");
     RETURN_IF_ERROR(DrainChannel());
   }
-  // This session supersedes any earlier session for the snapshot; its
-  // prefix was just delivered, so the checkpoint state can go.
-  PruneSessions(site, desc->id);
 
   // Compact wire mode: both codec halves are local, so the generation
   // exchange a remote client carries in its demand is a direct call here.
@@ -882,11 +799,7 @@ Result<RefreshReport> SnapshotSystem::Refresh(const RefreshRequest& request) {
   // frozen cut, which is what makes resume-by-sequence sound even while
   // the live table keeps changing.
   const TxnId txn = refresh_txn_++;
-  struct LockScope {
-    LockManager* locks;
-    TxnId txn;
-    ~LockScope() { locks->ReleaseAll(txn); }
-  } lock_scope{&locks_, txn};
+  LockScope lock_scope{&locks_, txn};
   AdmissionGuard admission;
   std::shared_ptr<TableEpoch> epoch;
   if (entry->join != nullptr) {
@@ -951,8 +864,8 @@ Result<RefreshReport> SnapshotSystem::Refresh(const RefreshRequest& request) {
     if (exec.ok()) {
       // Snapshot site: receive and apply.
       obs::Tracer::Span apply_span(&tracer_, "apply");
-      uint64_t applied = 0;
-      RETURN_IF_ERROR(DeliverPending(site, entry, &stats, &applied));
+      ASSIGN_OR_RETURN(const uint64_t applied,
+                       DeliverPending(site, {{desc->id, &stats}}));
       apply_span.Note("messages", applied);
       apply_span.Close();
       // The transmission succeeded end-to-end only if the stream's END
@@ -960,7 +873,7 @@ Result<RefreshReport> SnapshotSystem::Refresh(const RefreshRequest& request) {
       // proves nothing. Session-less joins settle for the SnapTime stamp.
       const bool complete =
           sessionless ? snap->snap_time() != initial_snap_time
-                      : SessionComplete(site, report.session_id);
+                      : site->applier.Complete(desc->id, report.session_id);
       if (complete) break;
       failure = Status::Unavailable(
           "refresh " + request.snapshot + " session " +
@@ -982,7 +895,7 @@ Result<RefreshReport> SnapshotSystem::Refresh(const RefreshRequest& request) {
     if (!exec.ok()) {
       // The attempt died mid-stream; deliver whatever arrived before the
       // fault so the site's resume checkpoint is current.
-      RETURN_IF_ERROR(DeliverPending(site, entry, &stats, nullptr));
+      RETURN_IF_ERROR(DeliverPending(site, {{desc->id, &stats}}).status());
     }
     resume_after = 0;
     if (!sessionless && request.retry.resume) {
@@ -990,7 +903,7 @@ Result<RefreshReport> SnapshotSystem::Refresh(const RefreshRequest& request) {
       // applied prefix over the demand link; the base re-runs the refresh
       // with that prefix suppressed.
       const uint64_t checkpoint =
-          SessionLastApplied(site, report.session_id);
+          site->applier.LastApplied(desc->id, report.session_id);
       RETURN_IF_ERROR(request_channel_.Send(
           MakeResumeRefresh(desc->id, report.session_id, checkpoint)));
       ASSIGN_OR_RETURN(Message resume, request_channel_.Receive());
@@ -1024,6 +937,8 @@ Result<RefreshReport> SnapshotSystem::Refresh(const RefreshRequest& request) {
                        << obs::kv("reason", failure.ToString());
   }
 
+  // The link's send-side meters (drops and duplicates included) replace the
+  // receive-side attribution DeliverPending accumulated.
   stats.traffic = channel->stats() - before;
   // The site applied the session's END (that is what broke the loop) — the
   // in-process analogue of SESSION_ACK, so the encoder's folds commit.
@@ -1035,19 +950,24 @@ Result<RefreshReport> SnapshotSystem::Refresh(const RefreshRequest& request) {
   return report;
 }
 
-void SnapshotSystem::FinishRefreshTrace(const std::string& snapshot_name,
-                                        const SnapshotDescriptor& desc,
-                                        const SnapshotTable& snap,
-                                        const RefreshStats& stats) {
-  tracer_.End();
+void SnapshotSystem::CountRefreshed(const std::string& snapshot_name,
+                                    const SnapshotTable& snap) {
   metric_refreshes_->Inc();
-  metric_refresh_duration_->Observe(
-      static_cast<double>(tracer_.duration_us()));
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   reg.GetCounter("snapshot." + snapshot_name + ".refreshes")->Inc();
   const int64_t staleness = static_cast<int64_t>(base_oracle_.Current()) -
                             static_cast<int64_t>(snap.snap_time());
   reg.GetGauge("snapshot." + snapshot_name + ".staleness")->Set(staleness);
+}
+
+void SnapshotSystem::FinishRefreshTrace(const std::string& snapshot_name,
+                                        const SnapshotDescriptor& desc,
+                                        const SnapshotTable& snap,
+                                        const RefreshStats& stats) {
+  tracer_.End();
+  metric_refresh_duration_->Observe(
+      static_cast<double>(tracer_.duration_us()));
+  CountRefreshed(snapshot_name, snap);
   SNAPDIFF_LOG(Info) << "refresh complete"
                      << obs::kv("snapshot", snapshot_name)
                      << obs::kv("method", RefreshMethodToString(desc.method))
@@ -1080,13 +1000,10 @@ void SnapshotSystem::EvictServeSession(uint64_t session_id) {
   serve_sessions_.erase(it);
 }
 
-void SnapshotSystem::EvictServeSessionsForSource(const BaseTable* source) {
+void SnapshotSystem::EvictServeSessionsOf(SnapshotId snapshot_id) {
   std::vector<uint64_t> stale;
   for (const auto& [sid, session] : serve_sessions_) {
-    auto by_id = snapshots_by_id_.find(session.snapshot_id);
-    if (by_id != snapshots_by_id_.end() && by_id->second->source == source) {
-      stale.push_back(sid);
-    }
+    if (session.snapshot_id == snapshot_id) stale.push_back(sid);
   }
   for (uint64_t sid : stale) EvictServeSession(sid);
 }
@@ -1120,24 +1037,16 @@ Result<SnapshotSystem::ServeOutcome> SnapshotSystem::ServeRefresh(
     // only for the call — there is no resumable stream to keep frozen.
     AdmissionGuard admission = AdmitRefresh(
         {entry->join->left->info()->id, entry->join->right->info()->id});
-    const TxnId txn = refresh_txn_++;
-    Status locked = locks_.Acquire(txn, entry->join->left->info()->id,
-                                   LockMode::kShared);
-    if (locked.ok()) {
-      locked = locks_.Acquire(txn, entry->join->right->info()->id,
-                              LockMode::kShared);
-    }
-    if (!locked.ok()) {
-      locks_.ReleaseAll(txn);
-      return locked;
-    }
-    Status exec =
-        RunRefreshAttempt(entry, RefreshMethod::kFull,
-                          request.client_snap_time, exec_request,
-                          /*session=*/nullptr, wire, /*tracer=*/nullptr,
-                          &stats, /*epoch=*/nullptr);
-    locks_.ReleaseAll(txn);
-    RETURN_IF_ERROR(exec);
+    const LockScope lock_scope{&locks_, refresh_txn_++};
+    RETURN_IF_ERROR(locks_.Acquire(
+        lock_scope.txn, entry->join->left->info()->id, LockMode::kShared));
+    RETURN_IF_ERROR(locks_.Acquire(
+        lock_scope.txn, entry->join->right->info()->id, LockMode::kShared));
+    RETURN_IF_ERROR(RunRefreshAttempt(entry, RefreshMethod::kFull,
+                                      request.client_snap_time, exec_request,
+                                      /*session=*/nullptr, wire,
+                                      /*tracer=*/nullptr, &stats,
+                                      /*epoch=*/nullptr));
     outcome.stats = std::move(stats);
     return outcome;
   }
@@ -1173,11 +1082,7 @@ Result<SnapshotSystem::ServeOutcome> SnapshotSystem::ServeRefresh(
       outcome.resumed = resume_after > 0;
     } else {
       // Fresh session; supersede any dangling session for this snapshot.
-      std::vector<uint64_t> stale;
-      for (const auto& [sid, session] : serve_sessions_) {
-        if (session.snapshot_id == desc->id) stale.push_back(sid);
-      }
-      for (uint64_t sid : stale) EvictServeSession(sid);
+      EvictServeSessionsOf(desc->id);
 
       // Stale staged outcomes of an earlier unacknowledged serve must not
       // survive into this one.
@@ -1191,21 +1096,11 @@ Result<SnapshotSystem::ServeOutcome> SnapshotSystem::ServeRefresh(
             "the initial full copy and must re-attach for a fresh copy");
       }
 
+      // Only an exclusive holder (an admin operation) refuses the shared
+      // lock; the serve then fails and the client re-demands.
       const TxnId txn = refresh_txn_++;
-      Status locked = locks_.Acquire(txn, entry->source->info()->id,
-                                     LockMode::kShared);
-      if (!locked.ok()) {
-        // An exclusive holder (an admin operation, or a dangling legacy
-        // session). Steal: evict served sessions of this table (their
-        // clients restart fresh when they resume) and retry once.
-        EvictServeSessionsForSource(entry->source);
-        locked = locks_.Acquire(txn, entry->source->info()->id,
-                                LockMode::kShared);
-        if (!locked.ok()) {
-          locks_.ReleaseAll(txn);
-          return locked;
-        }
-      }
+      RETURN_IF_ERROR(locks_.Acquire(txn, entry->source->info()->id,
+                                     LockMode::kShared));
       epoch = entry->source->OpenEpoch();
       session_id = next_session_id_++;
       serve_sessions_[session_id] =
@@ -1302,6 +1197,7 @@ Result<std::map<std::string, RefreshStats>> SnapshotSystem::RefreshGroup(
   }
 
   std::map<std::string, RefreshStats> results;
+  std::map<SnapshotId, RefreshStats*> member_stats;
   std::vector<GroupRefreshMember> members;
   members.reserve(entries.size());
   // Every member transmits through its own wire session, so the shared
@@ -1320,7 +1216,7 @@ Result<std::map<std::string, RefreshStats>> SnapshotSystem::RefreshGroup(
                            entry->descriptor.restriction_text)));
     ASSIGN_OR_RETURN(Message request, request_channel_.Receive());
     RefreshStats& stats = results[entry->descriptor.name];
-    PruneSessions(group_site, entry->descriptor.id);
+    member_stats[entry->descriptor.id] = &stats;
     const uint64_t session_id = next_session_id_++;
     if (group_encoder != nullptr) {
       group_encoder->SyncGeneration(
@@ -1341,102 +1237,52 @@ Result<std::map<std::string, RefreshStats>> SnapshotSystem::RefreshGroup(
   // Shared scan epoch in place of the old exclusive table lock: the group
   // scan reads the cut while writers mutate the live table concurrently.
   AdmissionGuard admission = AdmitRefresh({base->info()->id});
-  const TxnId txn = refresh_txn_++;
-  RETURN_IF_ERROR(locks_.Acquire(txn, base->info()->id, LockMode::kShared));
+  const LockScope lock_scope{&locks_, refresh_txn_++};
+  RETURN_IF_ERROR(
+      locks_.Acquire(lock_scope.txn, base->info()->id, LockMode::kShared));
   Channel* channel = &group_site->channel;
   const ChannelStats before = channel->stats();
   obs::Tracer::Span exec_span(&tracer_, "execute group-differential");
-  RefreshExecution group_exec = MakeRefreshExecution();
-  group_exec.epoch = base->OpenEpoch();
-  Status exec = ExecuteGroupDifferentialRefresh(base, &members, channel,
-                                                &tracer_, group_exec);
-  Status unlock = locks_.Release(txn, base->info()->id);
-  RETURN_IF_ERROR(exec);
-  RETURN_IF_ERROR(unlock);
+  const std::shared_ptr<TableEpoch> epoch = base->OpenEpoch();
+  RETURN_IF_ERROR(ExecuteGroupDifferentialRefresh(
+      base, *epoch, &members, channel, &tracer_,
+      MakeRefreshExecution(RefreshRequest{}, nullptr)));
   const ChannelStats total = channel->stats() - before;
   exec_span.Close();
 
-  // Receive and apply, attributing message counts per snapshot.
+  // Receive and apply through the site's applier, attributing message
+  // counts per snapshot. Frames are a property of the whole burst; every
+  // member reports the total.
   obs::Tracer::Span apply_span(&tracer_, "apply");
-  while (channel->HasPending()) {
-    ASSIGN_OR_RETURN(Message raw, channel->Receive());
-    Message msg = raw;
-    if (group_site->decoder != nullptr) {
-      ASSIGN_OR_RETURN(msg, group_site->decoder->Admit(raw));
-    }
-    auto it = snapshots_by_id_.find(msg.snapshot_id);
-    if (it == snapshots_by_id_.end()) continue;
-    RefreshStats* stats = nullptr;
-    auto res = results.find(it->second->descriptor.name);
-    if (res != results.end()) {
-      stats = &res->second;
-      ++stats->traffic.messages;
-      switch (msg.type) {
-        case MessageType::kEntry:
-        case MessageType::kUpsert:
-          ++stats->traffic.entry_messages;
-          break;
-        case MessageType::kEntryBatch: {
-          ++stats->traffic.entry_messages;
-          auto count = EntryBatchCount(msg);
-          stats->traffic.batched_entries += count.ok() ? *count : 0;
-          break;
-        }
-        case MessageType::kDelete:
-        case MessageType::kDeleteRange:
-          ++stats->traffic.delete_messages;
-          break;
-        default:
-          ++stats->traffic.control_messages;
-          break;
-      }
-      // Attribute the bytes that actually travelled (encoded when the wire
-      // codec is on), not the decoded logical size.
-      stats->traffic.payload_bytes += raw.SerializedSize();
-      // Frames are a property of the whole burst; report the total.
-      stats->traffic.frames = total.frames;
-      stats->traffic.wire_bytes = total.wire_bytes;
-    }
-    if (msg.session_id != 0) {
-      // The group link is fault-free, so messages arrive in sequence order
-      // and apply directly; record the session's applied prefix so a later
-      // single-snapshot Refresh sees consistent session bookkeeping.
-      ApplySessionState& sess = group_site->sessions[msg.session_id];
-      sess.snapshot_id = msg.snapshot_id;
-      sess.last_applied_seq = msg.seq;
-      if (msg.type == MessageType::kEndOfRefresh) sess.end_applied = true;
-    }
-    RETURN_IF_ERROR(it->second->table->ApplyMessage(msg, stats));
-  }
+  ASSIGN_OR_RETURN(const uint64_t applied,
+                   DeliverPending(group_site, member_stats));
+  apply_span.Note("messages", applied);
   apply_span.Close();
-
-  if (group_encoder != nullptr) {
-    // The in-process group link is fault-free: everything sent has been
-    // applied, so every member stream commits.
-    for (size_t i = 0; i < entries.size(); ++i) {
-      group_encoder->CommitStream(entries[i]->descriptor.id,
-                                  sessions[i]->session_id());
+  // The per-member traffic attributions sum (via ChannelStats::operator+=)
+  // to the burst's data-message totals; frames/wire_bytes are whole-burst
+  // figures repeated per member, so the burst total is reported separately.
+  ChannelStats attributed;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const SnapshotId id = entries[i]->descriptor.id;
+    const uint64_t session_id = sessions[i]->session_id();
+    if (!group_site->applier.Complete(id, session_id)) {
+      return Status::Unavailable(
+          "group refresh of " + entries[i]->descriptor.name + " session " +
+          std::to_string(session_id) + " incomplete: messages lost in transit");
     }
+    // Everything the member's stream carried has been applied, so its
+    // encoder folds commit.
+    if (group_encoder != nullptr) group_encoder->CommitStream(id, session_id);
+    RefreshStats& stats = *members[i].stats;
+    stats.traffic.frames = total.frames;
+    stats.traffic.wire_bytes = total.wire_bytes;
+    attributed += stats.traffic;
+    CountRefreshed(entries[i]->descriptor.name, *entries[i]->table);
   }
 
   tracer_.End();
   metric_refresh_duration_->Observe(
       static_cast<double>(tracer_.duration_us()));
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  // The per-member traffic attributions sum (via ChannelStats::operator+=)
-  // to the burst's data-message totals; frames/wire_bytes are whole-burst
-  // figures repeated per member, so the burst total is reported separately.
-  ChannelStats attributed;
-  for (SnapshotEntry* entry : entries) {
-    metric_refreshes_->Inc();
-    const std::string& name = entry->descriptor.name;
-    reg.GetCounter("snapshot." + name + ".refreshes")->Inc();
-    const int64_t staleness =
-        static_cast<int64_t>(base_oracle_.Current()) -
-        static_cast<int64_t>(entry->table->snap_time());
-    reg.GetGauge("snapshot." + name + ".staleness")->Set(staleness);
-    attributed += results[name].traffic;
-  }
   SNAPDIFF_LOG(Info) << "group refresh complete"
                      << obs::kv("members", entries.size())
                      << obs::kv("attributed_messages", attributed.messages)

@@ -16,6 +16,7 @@
 #include "common/thread_pool.h"
 #include "net/channel.h"
 #include "net/encoding.h"
+#include "net/session_applier.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "snapshot/asap.h"
@@ -346,20 +347,6 @@ class SnapshotSystem {
   std::vector<std::string> SnapshotNames() const;
 
  private:
-  /// Snapshot-site bookkeeping for one refresh session: the durably applied
-  /// prefix (the resume checkpoint), messages that arrived ahead of a gap,
-  /// and whether the stream's END has been applied. Admission is strictly
-  /// in sequence order, which makes the applier idempotent under duplicate,
-  /// reordered, and re-transmitted delivery.
-  struct ApplySessionState {
-    SnapshotId snapshot_id = 0;
-    uint64_t last_applied_seq = 0;
-    bool end_applied = false;
-    uint64_t duplicates_dropped = 0;
-    /// Early arrivals, keyed by seq (map insertion dedups re-arrivals).
-    std::map<uint64_t, Message> held;
-  };
-
   /// One remote snapshot site: its own storage, catalog, clock, and link.
   struct SnapshotSite {
     SnapshotSite(size_t pool_pages, const ChannelOptions& channel_options)
@@ -372,15 +359,15 @@ class SnapshotSystem {
     Catalog catalog;
     TimestampOracle oracle;
     Channel channel;  // base → this site
-    /// Live refresh sessions, keyed by wire session id. A session for a
-    /// snapshot is pruned when a new session for that snapshot starts.
-    std::map<uint64_t, ApplySessionState> sessions;
     /// Compact-wire codec pair for this site's in-process link (created
     /// when wire_encoding is on): the encoder feeds the base side's
     /// RefreshSessions, the decoder restores canonical messages at the
     /// admission point.
     std::unique_ptr<WireEncoder> encoder;
     std::unique_ptr<WireDecoder> decoder;
+    /// Seq-ordered admission of every stream arriving on `channel`, one
+    /// current session per snapshot (decodes through `decoder` when set).
+    SessionApplier applier;
   };
 
   struct SnapshotEntry {
@@ -399,38 +386,29 @@ class SnapshotSystem {
 
   /// --- snapshot-site applier (session-aware) ---
 
-  /// Receives and routes every pending message of one site's channel.
-  /// Messages applied for the `attributed` snapshot (when non-null) are
-  /// metered into `stats`; `applied` (when non-null) counts messages
-  /// actually applied (duplicates and held early arrivals excluded).
-  Status DeliverPending(SnapshotSite* site, const SnapshotEntry* attributed,
-                        RefreshStats* stats, uint64_t* applied = nullptr);
-  /// Routes one received message: session-less messages apply directly;
-  /// session messages are dedup'd, held, or admitted in sequence order.
-  Status DeliverMessage(SnapshotSite* site, const Message& msg,
-                        const SnapshotEntry* attributed, RefreshStats* stats,
-                        uint64_t* applied);
-  /// Applies one admitted message to its snapshot (dropped snapshots are
-  /// discarded silently, as before).
-  Status ApplyDelivered(const Message& msg, const SnapshotEntry* attributed,
-                        RefreshStats* stats, uint64_t* applied);
-  /// Forgets session state of superseded sessions for one snapshot.
-  void PruneSessions(SnapshotSite* site, SnapshotId snapshot_id);
+  /// Receives every pending message of one site's channel and admits it
+  /// through the site's SessionApplier. A message applied for a snapshot
+  /// in `attributed` is metered into that snapshot's stats: apply counters
+  /// plus its receive-side traffic (CountMessage over the bytes that
+  /// travelled). Messages for dropped snapshots are discarded. Returns the
+  /// number of messages applied (duplicates and held arrivals excluded).
+  Result<uint64_t> DeliverPending(
+      SnapshotSite* site,
+      const std::map<SnapshotId, RefreshStats*>& attributed = {});
   /// Creates a site's codec pair when wire_encoding is on (the schema
   /// resolver closes over the snapshot registry).
   void AttachWireCodecs(SnapshotSite* site);
-  uint64_t SessionLastApplied(const SnapshotSite* site,
-                              uint64_t session_id) const;
-  bool SessionComplete(const SnapshotSite* site, uint64_t session_id) const;
 
   /// One transmission attempt of `method` for `entry`, sending through
   /// `session` when non-null, else directly into `wire` (the site channel
   /// for in-process refreshes, the socket transport for served ones).
   /// `tracer` may be null (serve path). Per-method state advances (ideal
   /// shadow, log LSN) are staged on the descriptor, not committed.
-  /// `epoch` (may be null for joins/ASAP-flush) is the copy-on-write cut
-  /// the executors scan; the same epoch across attempts is what makes
-  /// retries re-transmit the byte-identical stream while writers mutate.
+  /// `epoch` is the copy-on-write cut every single-table method reads and
+  /// whose cut_time becomes the new SnapTime; the same epoch across
+  /// attempts is what makes retries re-transmit the byte-identical stream
+  /// while writers mutate. Join snapshots pass null: they re-evaluate
+  /// under shared locks instead.
   Status RunRefreshAttempt(SnapshotEntry* entry, RefreshMethod method,
                            Timestamp request_time,
                            const RefreshRequest& request,
@@ -456,11 +434,13 @@ class SnapshotSystem {
   /// constructs the shared pool.
   RefreshExecution MakeRefreshExecution(const RefreshRequest& request,
                                         RefreshSession* session);
-  RefreshExecution MakeRefreshExecution();
 
+  /// Records one completed refresh of a snapshot in the metrics registry:
+  /// refresh counters (global and per snapshot) and the staleness gauge.
+  void CountRefreshed(const std::string& snapshot_name,
+                      const SnapshotTable& snap);
   /// Ends the open trace and records the refresh in the metrics registry
-  /// (refresh counter + duration histogram, per-snapshot refresh counter
-  /// and staleness gauge).
+  /// (duration histogram plus CountRefreshed).
   void FinishRefreshTrace(const std::string& snapshot_name,
                           const SnapshotDescriptor& desc,
                           const SnapshotTable& snap,
@@ -531,11 +511,9 @@ class SnapshotSystem {
   /// Releases the session's lock + epoch and discards its staged outcome.
   /// Caller holds serve_mu_.
   void EvictServeSession(uint64_t session_id);
-  /// Evicts every live serve session reading from `source` (steal on
-  /// conflict with an exclusive holder: a dangling session's client
-  /// re-demands a fresh full stream when it eventually resumes). Caller
-  /// holds serve_mu_.
-  void EvictServeSessionsForSource(const BaseTable* source);
+  /// Evicts every live serve session of one snapshot (superseded by a
+  /// fresh serve, or the snapshot was dropped). Caller holds serve_mu_.
+  void EvictServeSessionsOf(SnapshotId snapshot_id);
 
   /// --- per-table refresh admission ---
   ///

@@ -67,6 +67,13 @@ class TableEpoch {
   /// of this tick, not as of fill completion).
   uint64_t cut_tick = 0;
 
+  /// The refresh's one timestamp, drawn from the table's oracle at the cut
+  /// (under the mutation lock, so every later write draws a larger one).
+  /// It stamps the fix-up repairs and becomes the new SnapTime carried by
+  /// END_OF_REFRESH: a snapshot refreshed from this epoch equals the table
+  /// at `cut_time`, and any write after the cut is newer than it.
+  Timestamp cut_time = kNullTimestamp;
+
   /// WAL end at the cut: the log-based executor collects committed changes
   /// only up to this LSN, so its delta ends at the same cut a heap scan
   /// would. kInvalidLsn when the table has no WAL.
@@ -112,27 +119,16 @@ class TableEpoch {
   /// Opens a cursor over the epoch's pages [first_page_idx, first_page_idx
   /// + page_count) — the same partitioned-scan shape the live cursor has.
   Result<Cursor> OpenCursor(size_t first_page_idx, size_t page_count) const;
-  Result<Cursor> OpenCursor() const { return OpenCursor(0, pages_.size()); }
 
   /// Point read at the cut: the tuple bytes at `addr` as of the epoch, or
   /// nullopt if no live tuple occupied `addr` then (including addresses on
   /// pages allocated after the cut).
   Result<std::optional<std::string>> Read(Address addr) const;
 
-  /// Calls `fn(address, bytes)` for every row live at the cut, in address
-  /// order. `bytes` is invalidated by the next iteration — copy to keep.
-  template <typename Fn>
-  Status ForEach(Fn&& fn) const {
-    ASSIGN_OR_RETURN(Cursor cur, OpenCursor());
-    while (cur.Valid()) {
-      RETURN_IF_ERROR(fn(cur.address(), cur.tuple()));
-      RETURN_IF_ERROR(cur.Next());
-    }
-    return Status::OK();
-  }
-
-  /// ForEach over the epoch's pages [first_page_idx, first_page_idx +
-  /// page_count) — the parallel extract workers' shape.
+  /// Calls `fn(address, bytes)` for every row live at the cut on the
+  /// epoch's pages [first_page_idx, first_page_idx + page_count), in
+  /// address order (the whole epoch is [0, page_count())). `bytes` is
+  /// invalidated by the next iteration — copy to keep.
   template <typename Fn>
   Status ForEachInPageRange(size_t first_page_idx, size_t page_count,
                             Fn&& fn) const {
@@ -340,8 +336,7 @@ class TableHeap {
   Result<Cursor> OpenCursor();
 
   /// Opens a cursor over the heap's pages [first_page_idx, first_page_idx
-  /// + page_count) — indexes into pages(), i.e. address order (the
-  /// partitioned-scan shape the parallel refresh workers use).
+  /// + page_count) — indexes into pages(), i.e. address order.
   Result<Cursor> OpenCursor(size_t first_page_idx, size_t page_count);
 
   /// Calls `fn(address, bytes)` for every live tuple in address order;
@@ -352,21 +347,6 @@ class TableHeap {
   template <typename Fn>
   Status ForEach(Fn&& fn) {
     ASSIGN_OR_RETURN(Cursor cur, OpenCursor());
-    while (cur.Valid()) {
-      RETURN_IF_ERROR(fn(cur.address(), cur.tuple()));
-      RETURN_IF_ERROR(cur.Next());
-    }
-    return Status::OK();
-  }
-
-  /// Like ForEach, restricted to the heap's pages [first_page_idx,
-  /// first_page_idx + page_count). Each page is pinned once and all its
-  /// slots visited under that single pin, so a partitioned scan takes one
-  /// FetchPage per page instead of one per row.
-  template <typename Fn>
-  Status ForEachInPageRange(size_t first_page_idx, size_t page_count,
-                            Fn&& fn) {
-    ASSIGN_OR_RETURN(Cursor cur, OpenCursor(first_page_idx, page_count));
     while (cur.Valid()) {
       RETURN_IF_ERROR(fn(cur.address(), cur.tuple()));
       RETURN_IF_ERROR(cur.Next());

@@ -127,8 +127,8 @@ RunResult RunGroup(Harness* h, std::vector<SnapshotDescriptor>* descs,
     members.push_back(
         {&(*descs)[which[i]], (*snap_times)[which[i]], &out.stats[i]});
   }
-  out.status = ExecuteGroupDifferentialRefresh(h->base, &members, &channel,
-                                               nullptr, exec);
+  out.status = ExecuteGroupDifferentialRefresh(
+      h->base, *h->base->OpenEpoch(), &members, &channel, nullptr, exec);
   while (channel.HasPending()) {
     auto m = channel.Receive();
     if (!m.ok()) {
@@ -346,7 +346,7 @@ TEST(DeltaCacheTest, CacheHitTouchesZeroBasePages) {
   // Member 0 scans and fills.
   RunResult fill = RunGroup(&h, &descs, &times, {0}, Exec(&cache));
   ASSERT_TRUE(fill.status.ok()) << fill.status.ToString();
-  ASSERT_TRUE(cache.CanServe(*h.base, descs[1]));
+  ASSERT_TRUE(cache.CanServe(*h.base, h.base->mutation_tick(), descs[1]));
 
   BufferPool* pool = h.sys.base_catalog()->buffer_pool();
   const uint64_t fetches_before = pool->stats().hits + pool->stats().misses;
@@ -389,8 +389,9 @@ TEST(DeltaCacheTest, FanOutStampsPerMemberSessions) {
     for (size_t i = 0; i < 3; ++i) {
       members.push_back({&descs[i], times[i], &stats[i], sessions[i]});
     }
-    ASSERT_TRUE(ExecuteGroupDifferentialRefresh(h.base, &members, &channel,
-                                                nullptr, Exec(&cache))
+    ASSERT_TRUE(ExecuteGroupDifferentialRefresh(h.base, *h.base->OpenEpoch(),
+                                                &members, &channel, nullptr,
+                                                Exec(&cache))
                     .ok());
     uint64_t last_seq[3] = {0, 0, 0};
     bool ended[3] = {false, false, false};
@@ -593,6 +594,81 @@ TEST(DeltaCacheTest, SystemMirrorConvergesThroughFaultsAndResume) {
   EXPECT_GT(cached_sys.delta_cache()->Stats().hits, 0u);
 }
 
+/// The serve decision and the serve itself both read the cut's frozen
+/// tick, so a write landing right after the cut neither turns a hit into a
+/// rescan nor a serve into an error: the refresh streams the cut from
+/// memory, byte-identical to a quiesced twin, and the next refresh picks
+/// the write up.
+TEST(DeltaCacheTest, WriteAfterTheCutStillServesFromCache) {
+  SnapshotSystemOptions opts;
+  opts.delta_cache_enabled = true;
+  SnapshotSystem racing_sys(opts);
+  SnapshotSystem quiet_sys(opts);
+  struct Site {
+    SnapshotSystem* sys;
+    BaseTable* base = nullptr;
+    std::vector<Address> live;
+  };
+  Site racing{&racing_sys, nullptr, {}};
+  Site quiet{&quiet_sys, nullptr, {}};
+  for (Site* s : {&racing, &quiet}) {
+    auto b = s->sys->CreateBaseTable("emp", EmpSchema());
+    ASSERT_TRUE(b.ok());
+    s->base = *b;
+    Random rng(5);
+    for (int i = 0; i < 400; ++i) {
+      auto a = s->base->Insert(
+          Row("e" + std::to_string(i), int64_t(rng.Uniform(30))));
+      ASSERT_TRUE(a.ok());
+      s->live.push_back(*a);
+    }
+    ASSERT_TRUE(s->sys->CreateSnapshot("lead", "emp", "Salary < 15").ok());
+    ASSERT_TRUE(s->sys->CreateSnapshot("lag", "emp", "Salary < 15").ok());
+    ASSERT_TRUE(s->sys->Refresh(RefreshRequest::For("lead")).ok());
+  }
+
+  RefreshRequest racy = RefreshRequest::For("lag");
+  racy.on_epoch_open = [&racing] {
+    // Same width as "e3", so the replica updates the row in place.
+    ASSERT_TRUE(racing.base->Update(racing.live[3], Row("u3", 1)).ok());
+  };
+  auto served = racing_sys.Refresh(racy);
+  auto twin = quiet_sys.Refresh(RefreshRequest::For("lag"));
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ASSERT_TRUE(twin.ok()) << twin.status().ToString();
+  EXPECT_TRUE(served->stats.served_from_cache);
+  EXPECT_TRUE(twin->stats.served_from_cache);
+  const ChannelStats& got = served->stats.traffic;
+  const ChannelStats& want = twin->stats.traffic;
+  EXPECT_EQ(got.messages, want.messages);
+  EXPECT_EQ(got.entry_messages, want.entry_messages);
+  EXPECT_EQ(got.delete_messages, want.delete_messages);
+  EXPECT_EQ(got.control_messages, want.control_messages);
+  EXPECT_EQ(got.payload_bytes, want.payload_bytes);
+  EXPECT_EQ(got.wire_bytes, want.wire_bytes);
+  EXPECT_EQ(served->stats.new_snap_time, twin->stats.new_snap_time);
+  auto got_rows = (*racing_sys.GetSnapshot("lag"))->Contents();
+  auto want_rows = (*quiet_sys.GetSnapshot("lag"))->Contents();
+  ASSERT_TRUE(got_rows.ok() && want_rows.ok());
+  ASSERT_EQ(got_rows->size(), want_rows->size());
+  for (const auto& [addr, row] : *want_rows) {
+    ASSERT_TRUE(got_rows->contains(addr)) << addr.ToString();
+    EXPECT_TRUE(got_rows->at(addr).Equals(row)) << addr.ToString();
+  }
+
+  // The post-cut write arrives with the next refresh.
+  auto caught_up = racing_sys.Refresh(RefreshRequest::For("lag"));
+  ASSERT_TRUE(caught_up.ok()) << caught_up.status().ToString();
+  auto actual = (*racing_sys.GetSnapshot("lag"))->Contents();
+  auto expected = racing_sys.ExpectedContents("lag");
+  ASSERT_TRUE(actual.ok() && expected.ok());
+  ASSERT_EQ(actual->size(), expected->size());
+  for (const auto& [addr, row] : *expected) {
+    ASSERT_TRUE(actual->contains(addr)) << addr.ToString();
+    EXPECT_TRUE(actual->at(addr).Equals(row)) << addr.ToString();
+  }
+}
+
 /// Every base mutation — including annotation repairs and mode flips —
 /// must advance the validity tick the cache compares against.
 TEST(DeltaCacheTest, MutationTickAdvancesOnEveryMutation) {
@@ -625,12 +701,12 @@ TEST(DeltaCacheTest, MutationTickAdvancesOnEveryMutation) {
   RunResult r = RunGroup(&h, &descs, &times, {0}, Exec(&cache));
   ASSERT_TRUE(r.status.ok());
   EXPECT_GT(h.base->mutation_tick(), tick) << "fix-up repairs left no tick";
-  EXPECT_TRUE(cache.CanServe(*h.base, descs[0]));
+  EXPECT_TRUE(cache.CanServe(*h.base, h.base->mutation_tick(), descs[0]));
 
   tick = h.base->mutation_tick();
   ASSERT_TRUE(h.base->SetMode(AnnotationMode::kEager).ok());
   EXPECT_GT(h.base->mutation_tick(), tick) << "mode flip must invalidate";
-  EXPECT_FALSE(cache.CanServe(*h.base, descs[0]));
+  EXPECT_FALSE(cache.CanServe(*h.base, h.base->mutation_tick(), descs[0]));
 }
 
 /// Introspection surface: stats, per-class debug lines, and Clear().
@@ -659,7 +735,7 @@ TEST(DeltaCacheTest, StatsDebugStringAndClear) {
   EXPECT_EQ(cache.Stats().classes, 0u);
   EXPECT_EQ(cache.Stats().bytes, 0u);
   EXPECT_EQ(cache.Stats().fills, 2u);  // cumulative meters survive
-  EXPECT_FALSE(cache.CanServe(*h.base, descs[0]));
+  EXPECT_FALSE(cache.CanServe(*h.base, h.base->mutation_tick(), descs[0]));
 
   // After Clear the next refresh is a miss that re-fills.
   ASSERT_TRUE(RunGroup(&h, &descs, &times, {0}, Exec(&cache)).status.ok());

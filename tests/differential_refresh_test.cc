@@ -89,8 +89,8 @@ TEST_F(PaperFigure56Test, RefreshMessagesMatchFigure6) {
   // to inspect the wire.
   desc.restriction = *restriction;
   desc.projection = {"Name", "Salary"};
-  ASSERT_TRUE(ExecuteDifferentialRefresh(base_, &desc, snap_->snap_time(),
-                                         &channel, &stats)
+  ASSERT_TRUE(ExecuteDifferentialRefresh(base_, *base_->OpenEpoch(), &desc,
+                                         snap_->snap_time(), &channel, &stats)
                   .ok());
 
   // Figure 6's message table: (2, 0, Laura 6), (5, 2, Mohan 9), (NULL, 6).

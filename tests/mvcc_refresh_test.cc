@@ -311,5 +311,37 @@ TEST(MvccRefreshTest, SkippedFixupsAreCountedAndRepairedNextRound) {
   ExpectFaithful(&s.sys);
 }
 
+// Eager maintenance stamps every write (and the successor repairs of an
+// insert or delete) with a fresh oracle draw. The refresh's SnapTime is
+// drawn at the cut, so writes landing right after it are always newer and
+// the next refresh transmits them — none is lost behind a later SnapTime.
+TEST(MvccRefreshTest, EagerWritesAfterTheCutArePickedUpNextRound) {
+  Site s;
+  auto base = s.sys.CreateBaseTable("emp", EmpSchema(), AnnotationMode::kEager);
+  ASSERT_TRUE(base.ok());
+  s.base = *base;
+  for (int i = 0; i < 60; ++i) {
+    auto addr = s.base->Insert(Row(Name('e', static_cast<uint64_t>(i)), i));
+    ASSERT_TRUE(addr.ok());
+    s.live.push_back(*addr);
+  }
+  ASSERT_TRUE(s.sys.CreateSnapshot("snap", "emp", "Salary < 50").ok());
+  ASSERT_TRUE(s.sys.Refresh(RefreshRequest::For("snap")).ok());
+
+  RefreshRequest request = RefreshRequest::For("snap");
+  request.on_epoch_open = [&s] {
+    ASSERT_TRUE(s.base->Update(s.live[7], Row(Name('u', 7), 8)).ok());
+    ASSERT_TRUE(s.base->Delete(s.live[20]).ok());
+    ASSERT_TRUE(s.base->Insert(Row(Name('n', 1), 3)).ok());
+  };
+  auto cut = s.sys.Refresh(request);
+  ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+
+  auto converge = s.sys.Refresh(RefreshRequest::For("snap"));
+  ASSERT_TRUE(converge.ok()) << converge.status().ToString();
+  ExpectFaithful(&s.sys);
+  EXPECT_TRUE(ValidateAnnotationChain(s.base).ok());
+}
+
 }  // namespace
 }  // namespace snapdiff

@@ -111,7 +111,7 @@ TEST(ObservabilityIntegrationTest,
   auto base = sys.CreateBaseTable("emp", EmpSchema());
   ASSERT_TRUE(base.ok());
   std::vector<Address> addrs;
-  for (int i = 0; i < 600; ++i) {  // several pages, so Partition(4) > 1
+  for (int i = 0; i < 600; ++i) {  // several pages, so PartitionEpoch(4) > 1
     auto addr = (*base)->Insert(Row("e" + std::to_string(i), i % 30));
     ASSERT_TRUE(addr.ok());
     addrs.push_back(*addr);

@@ -109,8 +109,8 @@ RunResult RunGroup(Harness* h, std::vector<SnapshotDescriptor>* descs,
   for (size_t i = 0; i < descs->size(); ++i) {
     members.push_back({&(*descs)[i], (*snap_times)[i], &out.stats[i]});
   }
-  out.status = ExecuteGroupDifferentialRefresh(h->base, &members, &channel,
-                                               nullptr, exec);
+  out.status = ExecuteGroupDifferentialRefresh(
+      h->base, *h->base->OpenEpoch(), &members, &channel, nullptr, exec);
   while (channel.HasPending()) {
     auto m = channel.Receive();
     if (!m.ok()) {

@@ -50,9 +50,9 @@ class RestartTest : public ::testing::Test {
     desc.restriction = restriction_;
     desc.projection = {"Name", "Salary"};
     Channel channel;
-    RETURN_IF_ERROR(ExecuteDifferentialRefresh(base, &desc,
-                                               snap->snap_time(), &channel,
-                                               stats));
+    RETURN_IF_ERROR(ExecuteDifferentialRefresh(base, *base->OpenEpoch(),
+                                               &desc, snap->snap_time(),
+                                               &channel, stats));
     stats->traffic = channel.stats();
     while (channel.HasPending()) {
       ASSIGN_OR_RETURN(Message m, channel.Receive());

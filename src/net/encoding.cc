@@ -837,6 +837,7 @@ Result<Message> WireDecoder::Admit(Message msg) {
       return Status::Corruption("wire: compressed body size mismatch");
     }
     in = decompressed;
+    ++stats_.compressed_blocks;
   }
 
   Message out = msg;

@@ -41,12 +41,13 @@ Status RefreshServer::Start() {
 
 void RefreshServer::Stop() {
   const bool was_running = running_.exchange(false);
-  if (listen_fd_ >= 0) {
-    // shutdown() wakes a blocked accept (EINVAL) before the close.
-    wire::ShutdownAndClose(listen_fd_);
-    listen_fd_ = -1;
-  }
+  // shutdown() wakes a blocked accept (EINVAL). The fd is closed and
+  // cleared only after the join: AcceptLoop reads listen_fd_ until then,
+  // and closing first could hand its number to another socket.
+  wire::Shutdown(listen_fd_);
   if (accept_thread_.joinable()) accept_thread_.join();
+  wire::CloseFd(listen_fd_);
+  listen_fd_ = -1;
   if (!was_running && conns_.empty()) return;
   std::map<uint64_t, std::unique_ptr<Connection>> conns;
   {

@@ -65,6 +65,17 @@ Result<int> OpenSocket(const ParsedAddr& parsed) {
   return fd;
 }
 
+/// Tunes a connected stream socket of address family `family`. TCP
+/// streams get TCP_NODELAY on both ends: a refresh is many small framed
+/// messages followed by a read of the peer's reply, so Nagle would hold
+/// the stream's tail until the peer's delayed ACK (tens of ms on Linux).
+/// Unix sockets have no Nagle and are left alone.
+void TuneStream(int fd, sa_family_t family) {
+  if (family != AF_INET) return;
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 Status FillSockaddr(const ParsedAddr& parsed, sockaddr_storage* storage,
                     socklen_t* len) {
   std::memset(storage, 0, sizeof(*storage));
@@ -138,8 +149,14 @@ Result<std::string> BoundAddr(int listen_fd) {
 
 Result<int> Accept(int listen_fd) {
   for (;;) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd >= 0) return fd;
+    sockaddr_storage peer;
+    socklen_t len = sizeof(peer);
+    const int fd =
+        ::accept(listen_fd, reinterpret_cast<sockaddr*>(&peer), &len);
+    if (fd >= 0) {
+      TuneStream(fd, peer.ss_family);
+      return fd;
+    }
     if (errno == EINTR) continue;
     return Status::Unavailable(Errno("accept"));
   }
@@ -160,18 +177,17 @@ Result<int> Connect(const std::string& addr) {
     ::close(fd);
     return Status::Unavailable(err);
   }
-  if (!parsed.is_unix) {
-    // Refresh streams are many small framed messages; don't let Nagle
-    // batch them against the ACK clock.
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  }
+  TuneStream(fd, parsed.is_unix ? AF_UNIX : AF_INET);
   return fd;
+}
+
+void Shutdown(int fd) {
+  if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
 }
 
 void ShutdownAndClose(int fd) {
   if (fd < 0) return;
-  ::shutdown(fd, SHUT_RDWR);
+  Shutdown(fd);
   ::close(fd);
 }
 

@@ -38,13 +38,18 @@ Result<int> Listen(const std::string& addr, int backlog);
 /// or "unix:/path") — what clients should dial after listening on port 0.
 Result<std::string> BoundAddr(int listen_fd);
 
-/// Blocking accept. Unavailable when the listener was shut down.
+/// Blocking accept. Unavailable when the listener was shut down. A TCP
+/// stream comes back with TCP_NODELAY set, as Connect's end does.
 Result<int> Accept(int listen_fd);
 
-/// Blocking connect to a ParseAddr-style address.
+/// Blocking connect to a ParseAddr-style address. A TCP stream gets
+/// TCP_NODELAY.
 Result<int> Connect(const std::string& addr);
 
-/// Wakes threads blocked in ReadMessage/Accept on `fd`, then closes it.
+/// Wakes threads blocked in ReadMessage/Accept on `fd` without closing it,
+/// so the fd number stays reserved until the woken threads are joined.
+void Shutdown(int fd);
+/// Shutdown(fd), then closes it.
 void ShutdownAndClose(int fd);
 void CloseFd(int fd);
 

@@ -59,13 +59,6 @@ size_t SlottedPage::ContiguousFree() const {
   return fe - used_front;
 }
 
-bool SlottedPage::CanInsert(size_t len, bool reuse_slots) const {
-  if (len > kMaxTupleSize) return false;
-  const size_t slot_cost =
-      (reuse_slots && HasFreeSlot()) ? 0 : kSlotSize;
-  return ContiguousFree() + garbage() >= len + slot_cost;
-}
-
 void SlottedPage::Compact() {
   struct Live {
     SlotId slot;

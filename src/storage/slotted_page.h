@@ -84,9 +84,28 @@ class SlottedPage {
   /// Contiguous free bytes available right now (before compaction).
   size_t ContiguousFree() const;
 
+  /// Exactly what CanInsert reads from a page, so a heap can keep one per
+  /// page and answer "fits?" without pinning it (TableHeap's first-fit).
+  struct FitKey {
+    size_t room = 0;         // ContiguousFree() + garbage()
+    bool free_slot = false;  // HasFreeSlot()
+  };
+  FitKey fit_key() const {
+    return {ContiguousFree() + garbage(), HasFreeSlot()};
+  }
+
   /// Whether an insert of `len` bytes could succeed (possibly after
-  /// compaction), with/without slot reuse.
-  bool CanInsert(size_t len, bool reuse_slots) const;
+  /// compaction), with/without slot reuse, on a page whose key is `key`.
+  static bool Fits(const FitKey& key, size_t len, bool reuse_slots) {
+    if (len > kMaxTupleSize) return false;
+    const size_t slot_cost = (reuse_slots && key.free_slot) ? 0 : kSlotSize;
+    return key.room >= len + slot_cost;
+  }
+
+  /// Fits() on this page's current key.
+  bool CanInsert(size_t len, bool reuse_slots) const {
+    return Fits(fit_key(), len, reuse_slots);
+  }
 
  private:
   uint16_t ReadU16(size_t off) const;

@@ -140,80 +140,68 @@ Result<std::unique_ptr<TableHeap>> TableHeap::Attach(
   }
   auto heap = std::make_unique<TableHeap>(pool, policy, seed);
   heap->pages_ = std::move(pages);
-  uint64_t live = 0;
-  for (PageId id : heap->pages_) {
-    ASSIGN_OR_RETURN(Page * page, pool->FetchPage(id));
-    PageGuard guard(pool, page);
-    live += SlottedPage(page).live_count();
-  }
-  heap->live_tuples_.store(live, std::memory_order_relaxed);
+  RETURN_IF_ERROR(heap->RecountLive());
   return heap;
 }
 
-Result<PageId> TableHeap::AllocatePage() {
+Status TableHeap::AllocatePage() {
   PageId id;
   ASSIGN_OR_RETURN(Page * page, pool_->NewPage(&id));
   PageGuard guard(pool_, page, /*dirty=*/true);
   SlottedPage sp(page);
   sp.Init();
   pages_.push_back(id);
+  fit_.push_back(sp.fit_key());
   ++stats_.page_allocations;
-  return id;
+  return Status::OK();
 }
 
-Result<PageId> TableHeap::PickPageForInsert(size_t len) {
+Result<size_t> TableHeap::PageIndex(PageId page_id) const {
+  const auto it = std::lower_bound(pages_.begin(), pages_.end(), page_id);
+  if (it == pages_.end() || *it != page_id) {
+    return Status::NotFound("page " + std::to_string(page_id) +
+                            " is not in this table");
+  }
+  return static_cast<size_t>(it - pages_.begin());
+}
+
+Result<size_t> TableHeap::PickPageForInsert(size_t len) {
+  // The fit keys hold exactly what SlottedPage::CanInsert reads, so every
+  // policy picks the page a pinned probe would, without touching the pool.
   const bool reuse = SlotReuseAllowed();
-  switch (policy_) {
-    case PlacementPolicy::kFirstFit: {
-      for (PageId id : pages_) {
-        ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(id));
-        PageGuard guard(pool_, page);
-        if (SlottedPage(page).CanInsert(len, reuse)) return id;
-      }
-      break;
-    }
-    case PlacementPolicy::kAppend: {
-      if (!pages_.empty()) {
-        const PageId id = pages_.back();
-        ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(id));
-        PageGuard guard(pool_, page);
-        if (SlottedPage(page).CanInsert(len, reuse)) return id;
-      }
-      break;
-    }
-    case PlacementPolicy::kRandom: {
-      // Try a handful of random probes, then fall back to a linear scan so
+  auto fits = [&](size_t i) { return SlottedPage::Fits(fit_[i], len, reuse); };
+  if (policy_ == PlacementPolicy::kAppend) {
+    if (!fit_.empty() && fits(fit_.size() - 1)) return fit_.size() - 1;
+  } else {
+    if (policy_ == PlacementPolicy::kRandom && !fit_.empty()) {
+      // A handful of random probes, then the first-fit scan below, so
       // behaviour stays deterministic and complete.
-      if (!pages_.empty()) {
-        for (int probe = 0; probe < 4; ++probe) {
-          const PageId id = pages_[rng_.Uniform(pages_.size())];
-          ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(id));
-          PageGuard guard(pool_, page);
-          if (SlottedPage(page).CanInsert(len, reuse)) return id;
-        }
-        for (PageId id : pages_) {
-          ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(id));
-          PageGuard guard(pool_, page);
-          if (SlottedPage(page).CanInsert(len, reuse)) return id;
-        }
+      for (int probe = 0; probe < 4; ++probe) {
+        const size_t i = rng_.Uniform(fit_.size());
+        if (fits(i)) return i;
       }
-      break;
+    }
+    for (size_t i = 0; i < fit_.size(); ++i) {
+      if (fits(i)) return i;
     }
   }
-  return AllocatePage();
+  RETURN_IF_ERROR(AllocatePage());
+  return pages_.size() - 1;
 }
 
 Result<Address> TableHeap::Insert(std::string_view bytes) {
   if (bytes.size() > SlottedPage::kMaxTupleSize) {
     return Status::InvalidArgument("tuple larger than page capacity");
   }
-  ASSIGN_OR_RETURN(PageId page_id, PickPageForInsert(bytes.size()));
+  ASSIGN_OR_RETURN(const size_t idx, PickPageForInsert(bytes.size()));
+  const PageId page_id = pages_[idx];
   ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(page_id));
   PageGuard guard(pool_, page, /*dirty=*/true);
   std::unique_lock<std::mutex> latch(page->latch());
   pool_->CloneForEpochs(page_id, page->data());
-  ASSIGN_OR_RETURN(SlotId slot,
-                   SlottedPage(page).Insert(bytes, SlotReuseAllowed()));
+  SlottedPage sp(page);
+  ASSIGN_OR_RETURN(SlotId slot, sp.Insert(bytes, SlotReuseAllowed()));
+  fit_[idx] = sp.fit_key();
   latch.unlock();
   live_tuples_.fetch_add(1, std::memory_order_relaxed);
   ++stats_.inserts;
@@ -222,11 +210,14 @@ Result<Address> TableHeap::Insert(std::string_view bytes) {
 
 Status TableHeap::Delete(Address addr) {
   if (!addr.IsReal()) return Status::InvalidArgument("delete: bad address");
+  ASSIGN_OR_RETURN(const size_t idx, PageIndex(addr.page()));
   ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(addr.page()));
   PageGuard guard(pool_, page, /*dirty=*/true);
   std::unique_lock<std::mutex> latch(page->latch());
   pool_->CloneForEpochs(addr.page(), page->data());
-  RETURN_IF_ERROR(SlottedPage(page).Delete(addr.slot()));
+  SlottedPage sp(page);
+  RETURN_IF_ERROR(sp.Delete(addr.slot()));
+  fit_[idx] = sp.fit_key();
   latch.unlock();
   live_tuples_.fetch_sub(1, std::memory_order_relaxed);
   ++stats_.deletes;
@@ -235,11 +226,14 @@ Status TableHeap::Delete(Address addr) {
 
 Status TableHeap::Update(Address addr, std::string_view bytes) {
   if (!addr.IsReal()) return Status::InvalidArgument("update: bad address");
+  ASSIGN_OR_RETURN(const size_t idx, PageIndex(addr.page()));
   ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(addr.page()));
   PageGuard guard(pool_, page, /*dirty=*/true);
   std::unique_lock<std::mutex> latch(page->latch());
   pool_->CloneForEpochs(addr.page(), page->data());
-  RETURN_IF_ERROR(SlottedPage(page).Update(addr.slot(), bytes));
+  SlottedPage sp(page);
+  RETURN_IF_ERROR(sp.Update(addr.slot(), bytes));
+  fit_[idx] = sp.fit_key();
   latch.unlock();
   ++stats_.updates;
   return Status::OK();
@@ -297,17 +291,25 @@ Status TableHeap::AppendPage(PageId page_id) {
     return Status::InvalidArgument("AppendPage: page id out of order");
   }
   pages_.push_back(page_id);
+  // Keyed full until RecountLive reads the page: recovery registers pages
+  // before redo writes them and always recounts last.
+  fit_.emplace_back();
   ++stats_.page_allocations;
   return Status::OK();
 }
 
 Status TableHeap::RecountLive() {
   uint64_t live = 0;
+  std::vector<SlottedPage::FitKey> fit;
+  fit.reserve(pages_.size());
   for (PageId id : pages_) {
     ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(id));
     PageGuard guard(pool_, page);
-    live += SlottedPage(page).live_count();
+    const SlottedPage sp(page);
+    live += sp.live_count();
+    fit.push_back(sp.fit_key());
   }
+  fit_ = std::move(fit);
   live_tuples_.store(live, std::memory_order_relaxed);
   return Status::OK();
 }

@@ -14,6 +14,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "storage/buffer_pool.h"
+#include "storage/slotted_page.h"
 
 namespace snapdiff {
 
@@ -21,6 +22,8 @@ namespace snapdiff {
 /// with inserts landing at "some empty address", including interior holes
 /// left by deletions; the policy is a first-class experimental knob
 /// (bench_placement) because it changes how often PrevAddr anomalies arise.
+/// Every policy decides from the heap's per-page fit keys and pins only the
+/// page the insert lands on.
 enum class PlacementPolicy {
   /// Scan pages in address order and reuse the first hole (default; the
   /// behaviour the paper's examples exhibit, e.g. Laura inserted at addr 2).
@@ -164,7 +167,8 @@ class TableHeap {
 
   /// Reattaches a heap to pages that already exist on disk (site restart
   /// with a durable DiskManager). `pages` must be the table's page ids in
-  /// allocation order; the live-tuple count is recomputed by scanning.
+  /// allocation order; the live-tuple count and the fit keys are rebuilt
+  /// by scanning (RecountLive).
   static Result<std::unique_ptr<TableHeap>> Attach(
       BufferPool* pool, std::vector<PageId> pages,
       PlacementPolicy policy = PlacementPolicy::kFirstFit,
@@ -240,8 +244,9 @@ class TableHeap {
   /// already registered is left alone.
   Status AppendPage(PageId page_id);
 
-  /// Recounts live_tuples() by scanning every page — recovery mutates pages
-  /// directly underneath the heap, so the cached count must be rebuilt.
+  /// Recounts live_tuples() and rebuilds the fit keys by scanning every
+  /// page — recovery mutates pages directly underneath the heap, so both
+  /// caches must be rebuilt (RecoveryManager calls this last).
   Status RecountLive();
 
   /// Opens a copy-on-write scan epoch over the table's current pages. See
@@ -356,10 +361,14 @@ class TableHeap {
 
  private:
   /// Picks (or allocates) a page that can hold `len` bytes under the current
-  /// placement policy.
-  Result<PageId> PickPageForInsert(size_t len);
+  /// placement policy; returns its index into pages_.
+  Result<size_t> PickPageForInsert(size_t len);
 
-  Result<PageId> AllocatePage();
+  /// Formats a new page and appends it (and its fit key).
+  Status AllocatePage();
+
+  /// Index of `page_id` in pages_; NotFound for another table's page.
+  Result<size_t> PageIndex(PageId page_id) const;
 
   bool SlotReuseAllowed() const {
     return policy_ != PlacementPolicy::kAppend;
@@ -369,6 +378,12 @@ class TableHeap {
   PlacementPolicy policy_;
   Random rng_;
   std::vector<PageId> pages_;  // in allocation (= address) order
+  // fit_[i] is SlottedPage::fit_key() of pages_[i], so placement never pins
+  // a page to ask whether it fits. Every heap-level mutation that changes
+  // a page's room or slot count refreshes its key under the page latch;
+  // RecountLive rebuilds them after pages were written behind the heap's
+  // back. Same discipline as pages_: one writer at a time.
+  std::vector<SlottedPage::FitKey> fit_;
   // Atomic because refresh bookkeeping reads it while writers mutate; the
   // writers themselves are serialized externally (BaseTable::mutate_mu_).
   std::atomic<uint64_t> live_tuples_{0};

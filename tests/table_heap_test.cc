@@ -3,13 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "catalog/catalog.h"
+#include "common/random.h"
 #include "storage/disk_manager.h"
+#include "storage/slotted_page.h"
+#include "wal/log_manager.h"
+#include "wal/recovery.h"
 
 namespace snapdiff {
 namespace {
@@ -367,6 +373,196 @@ TEST_F(TableHeapTest, StatsTrackOperations) {
   EXPECT_EQ(heap.stats().updates, 1u);
   EXPECT_EQ(heap.stats().deletes, 1u);
   EXPECT_GE(heap.stats().page_allocations, 1u);
+}
+
+// --- First-fit fit keys vs. the pinned scan they replace. ---
+
+/// The page a first-fit scan that pins every page and asks
+/// SlottedPage::CanInsert picks for `len` bytes; nullopt when none fits
+/// (the heap then allocates a new page).
+std::optional<PageId> PinnedFirstFit(BufferPool* pool, const TableHeap& heap,
+                                     size_t len) {
+  for (PageId id : heap.pages()) {
+    auto page = pool->FetchPage(id);
+    EXPECT_TRUE(page.ok());
+    if (!page.ok()) return std::nullopt;
+    PageGuard guard(pool, *page);
+    if (SlottedPage(*page).CanInsert(len, /*reuse_slots=*/true)) return id;
+  }
+  return std::nullopt;
+}
+
+/// Logs each heap mutation as BaseTable does (page redo record, then the
+/// page LSN stamp), so a crash can be recovered by RecoveryManager.
+struct WalMirror {
+  LogManager* wal = nullptr;
+  TableId table = 0;
+  TxnId next_txn = 1;
+};
+
+/// A seeded mix of inserts, deletes and updates with varied tuple lengths.
+/// Every insert must land on the page PinnedFirstFit chose just before it.
+void RunFirstFitOracle(BufferPool* pool, TableHeap* heap,
+                       std::vector<Address>* live, uint64_t seed, int ops,
+                       WalMirror* mirror = nullptr) {
+  Random rng(seed);
+  auto tuple = [&rng](uint64_t i) {
+    // Mostly small rows, some wide ones, so holes come in many sizes.
+    const size_t len = rng.Bernoulli(0.2) ? 300 + rng.Uniform(900)
+                                          : 8 + rng.Uniform(120);
+    return std::string(len, static_cast<char>('a' + i % 26));
+  };
+  for (int op = 0; op < ops; ++op) {
+    const uint64_t dice = rng.Uniform(100);
+    const TxnId txn = mirror != nullptr ? mirror->next_txn++ : 0;
+    if (mirror != nullptr) mirror->wal->LogBegin(txn);
+    Lsn lsn = kInvalidLsn;
+    Address touched;
+    if (live->empty() || dice < 45) {
+      const std::string bytes = tuple(static_cast<uint64_t>(op));
+      const std::optional<PageId> expect =
+          PinnedFirstFit(pool, *heap, bytes.size());
+      const size_t pages_before = heap->pages().size();
+      auto addr = heap->Insert(bytes);
+      ASSERT_TRUE(addr.ok()) << addr.status().ToString();
+      if (expect.has_value()) {
+        ASSERT_EQ(addr->page(), *expect) << "op " << op;
+      } else {
+        ASSERT_EQ(heap->pages().size(), pages_before + 1) << "op " << op;
+        ASSERT_EQ(addr->page(), heap->pages().back()) << "op " << op;
+        if (mirror != nullptr) {
+          mirror->wal->LogAllocPage(txn, mirror->table, addr->page());
+        }
+      }
+      live->push_back(*addr);
+      touched = *addr;
+      if (mirror != nullptr) {
+        lsn = mirror->wal->LogPageInsert(txn, mirror->table, touched, bytes);
+      }
+    } else {
+      const size_t k = rng.Uniform(live->size());
+      touched = (*live)[k];
+      auto before = heap->Get(touched);
+      ASSERT_TRUE(before.ok());
+      if (dice < 75) {
+        ASSERT_TRUE(heap->Delete(touched).ok());
+        (*live)[k] = live->back();
+        live->pop_back();
+        if (mirror != nullptr) {
+          lsn = mirror->wal->LogPageDelete(txn, mirror->table, touched,
+                                           *before);
+        }
+      } else {
+        std::string after = tuple(static_cast<uint64_t>(op));
+        const Status updated = heap->Update(touched, after);
+        // A grow that no longer fits its page is refused, page unchanged.
+        if (!updated.ok()) {
+          ASSERT_TRUE(updated.IsResourceExhausted()) << updated.ToString();
+          after = *before;
+        }
+        if (mirror != nullptr) {
+          lsn = mirror->wal->LogPageUpdate(txn, mirror->table, touched,
+                                           *before, after);
+        }
+      }
+    }
+    if (mirror != nullptr) {
+      ASSERT_TRUE(heap->StampPageLsn(touched.page(), lsn).ok());
+      mirror->wal->LogCommit(txn);
+    }
+  }
+}
+
+std::vector<std::pair<Address, std::string>> Contents(TableHeap* heap) {
+  std::vector<std::pair<Address, std::string>> rows;
+  EXPECT_TRUE(heap->ForEach([&](Address a, std::string_view bytes) {
+                    rows.emplace_back(a, std::string(bytes));
+                    return Status::OK();
+                  })
+                  .ok());
+  return rows;
+}
+
+TEST_F(TableHeapTest, FirstFitKeysMatchPinnedScanThenAfterAttach) {
+  BufferPool small(&disk_, 8);  // far smaller than the heap: evictions
+  TableHeap heap(&small);
+  std::vector<Address> live;
+  ASSERT_NO_FATAL_FAILURE(
+      RunFirstFitOracle(&small, &heap, &live, /*seed=*/41, /*ops=*/3000));
+  ASSERT_GT(heap.pages().size(), 16u);
+
+  // Reattach to the same pages: the keys are rebuilt from the pages.
+  ASSERT_TRUE(small.FlushAll().ok());
+  auto attached = TableHeap::Attach(&small, heap.pages());
+  ASSERT_TRUE(attached.ok());
+  EXPECT_EQ((*attached)->live_tuples(), heap.live_tuples());
+  ASSERT_NO_FATAL_FAILURE(RunFirstFitOracle(&small, attached->get(), &live,
+                                            /*seed=*/42, /*ops=*/2000));
+  EXPECT_EQ((*attached)->live_tuples(), live.size());
+}
+
+TEST_F(TableHeapTest, FirstFitKeysRebuiltByCrashRecovery) {
+  const Schema schema({{"Blob", TypeId::kString, false}});
+  LogManager wal;
+  std::vector<Address> live;
+  std::vector<std::pair<Address, std::string>> before_crash;
+  {
+    BufferPool pool(&disk_, 8);
+    Catalog catalog(&pool);
+    auto table = catalog.CreateTable("t", schema);
+    ASSERT_TRUE(table.ok());
+    WalMirror mirror{&wal, (*table)->id};
+    ASSERT_NO_FATAL_FAILURE(RunFirstFitOracle(&pool, (*table)->heap.get(),
+                                              &live, /*seed=*/43,
+                                              /*ops=*/2500, &mirror));
+    before_crash = Contents((*table)->heap.get());
+    // Crash: the pool's dirty frames are lost; only pages it evicted
+    // reached the disk. Redo must write the rest behind the heap's back.
+  }
+  BufferPool pool(&disk_, 8);
+  Catalog catalog(&pool);
+  auto table = catalog.CreateTable("t", schema);
+  ASSERT_TRUE(table.ok());
+  RecoveryManager recovery(&wal, &catalog);
+  auto stats = recovery.Recover();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_GT(stats->records_replayed, 0u);
+  TableHeap* heap = (*table)->heap.get();
+  ASSERT_EQ(Contents(heap), before_crash);
+  EXPECT_EQ(heap->live_tuples(), live.size());
+  WalMirror mirror{&wal, (*table)->id, /*next_txn=*/100000};
+  ASSERT_NO_FATAL_FAILURE(RunFirstFitOracle(&pool, heap, &live, /*seed=*/44,
+                                            /*ops=*/2000, &mirror));
+}
+
+TEST_F(TableHeapTest, FirstFitPinsOnlyTheChosenPage) {
+  // 400-byte rows: ten fill a page, and the 40 bytes left fit no eleventh.
+  const std::string row(400, 'r');
+  for (const size_t n_pages : {8u, 32u}) {
+    BufferPool pool(&disk_, 64);  // every page stays resident
+    TableHeap heap(&pool);
+    std::vector<Address> addrs;
+    while (heap.pages().size() < n_pages || addrs.size() % 10 != 0) {
+      auto a = heap.Insert(row);
+      ASSERT_TRUE(a.ok());
+      addrs.push_back(*a);
+    }
+    ASSERT_EQ(heap.pages().size(), n_pages);
+    // The only hole: one row freed on page k, near the end of the heap.
+    const size_t k = n_pages - 2;
+    const Address hole = addrs[k * 10 + 3];
+    ASSERT_EQ(hole.page(), heap.pages()[k]);
+    ASSERT_TRUE(heap.Delete(hole).ok());
+
+    const uint64_t fetches_before = pool.stats().hits + pool.stats().misses;
+    auto a = heap.Insert(row);
+    ASSERT_TRUE(a.ok());
+    EXPECT_EQ(*a, hole);  // the freed slot is reused
+    // Only the insert's own pin; a pinned first-fit would fetch k + 1
+    // more, growing with the heap.
+    EXPECT_EQ(pool.stats().hits + pool.stats().misses - fetches_before, 1u)
+        << "n_pages=" << n_pages;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #include "net/socket_transport.h"
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <string>
@@ -107,6 +110,50 @@ TEST(WireTest, UnixListenConnectRoundTrip) {
   wire::ShutdownAndClose(*client);
   wire::ShutdownAndClose(*served);
   wire::ShutdownAndClose(*listener);
+}
+
+int NoDelay(int fd) {
+  int value = -1;
+  socklen_t len = sizeof(value);
+  EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len), 0);
+  return value;
+}
+
+TEST(WireTest, TcpStreamsCarryNoDelayOnBothEnds) {
+  // A refresh ends in a small tail frame; without TCP_NODELAY on the
+  // sending end, Nagle holds it for the peer's delayed ACK. The server
+  // sends from the accepted fd, so both ends must carry the option.
+  auto listener = wire::Listen("127.0.0.1:0", 4);
+  ASSERT_TRUE(listener.ok());
+  auto addr = wire::BoundAddr(*listener);
+  ASSERT_TRUE(addr.ok());
+  auto client = wire::Connect(*addr);
+  ASSERT_TRUE(client.ok());
+  auto served = wire::Accept(*listener);
+  ASSERT_TRUE(served.ok());
+  EXPECT_EQ(NoDelay(*client), 1);
+  EXPECT_EQ(NoDelay(*served), 1);
+  wire::ShutdownAndClose(*client);
+  wire::ShutdownAndClose(*served);
+  wire::ShutdownAndClose(*listener);
+
+  // Unix streams take the same Accept/Connect path and still exchange.
+  const std::string unix_addr =
+      "unix:" + testing::TempDir() + "wire_nodelay_test.sock";
+  auto unix_listener = wire::Listen(unix_addr, 4);
+  ASSERT_TRUE(unix_listener.ok());
+  auto unix_client = wire::Connect(unix_addr);
+  ASSERT_TRUE(unix_client.ok());
+  auto unix_served = wire::Accept(*unix_listener);
+  ASSERT_TRUE(unix_served.ok());
+  const Message sent = MakeHello("emp_low");
+  ASSERT_TRUE(wire::WriteMessage(*unix_served, sent).ok());
+  auto received = wire::ReadMessage(*unix_client);
+  ASSERT_TRUE(received.ok());
+  EXPECT_EQ(*received, sent);
+  wire::ShutdownAndClose(*unix_client);
+  wire::ShutdownAndClose(*unix_served);
+  wire::ShutdownAndClose(*unix_listener);
 }
 
 TEST(SocketTransportTest, LoopbackRoundTripsEveryMessageShape) {

@@ -369,6 +369,28 @@ TEST(WireCodecTest, CompressionNegotiatedAndTransparent) {
   codec.EndSession(1, 9);
 }
 
+TEST(WireCodecTest, DecoderCountsTheCompressedBlocksItInflates) {
+  CodecPair codec(/*compression=*/true);
+  codec.encoder.BeginStream(1, 9, /*resumed=*/false);
+  for (int round = 0; round < 3; ++round) {
+    std::vector<Message> entries;
+    for (int i = 0; i < 64; ++i) {
+      entries.push_back(MakeUpsert(1, Address::FromRaw(100 + 64 * round + i),
+                                   WideRow(codec.schema, i % 4, 50)));
+    }
+    auto batch = MakeEntryBatch(entries);
+    ASSERT_TRUE(batch.ok());
+    ASSERT_TRUE(codec.RoundTrip(*batch, 9).ok());
+  }
+  // A tiny singleton too: whether or not LZ pays for it, both sides agree.
+  ASSERT_TRUE(
+      codec.RoundTrip(MakeDeleteMsg(1, Address::FromRaw(7)), 9).ok());
+  codec.EndSession(1, 9);
+  EXPECT_GE(codec.encoder.stats().compressed_blocks, 3u);
+  EXPECT_EQ(codec.decoder.stats().compressed_blocks,
+            codec.encoder.stats().compressed_blocks);
+}
+
 TEST(WireCodecTest, GenerationMismatchHealsWithResetRound) {
   CodecPair codec;
   codec.encoder.BeginStream(1, 21, /*resumed=*/false);

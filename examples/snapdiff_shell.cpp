@@ -22,9 +22,11 @@
 //   \recover            (stats of the restart recovery that opened --data=)
 //   \serve 127.0.0.1:0  (serve this shell's snapshots to remote clients;
 //                        `\serve stop` shuts the server down)
-//   \connect unix:/tmp/s.sock low
-//                       (attach to a snapshot on a remote shell; `refresh
-//                        low` and `show low` then work against the replica)
+//   \connect unix:/tmp/s.sock low [rlow]
+//                       (attach to a snapshot on a remote shell, or on this
+//                        shell's own \serve under another local name;
+//                        `refresh rlow` and `show rlow` then work against
+//                        the replica)
 //   quit
 //
 // Try piping a script in:
@@ -197,8 +199,9 @@ class Shell {
   }
 
   /// While \serve is live, server threads execute refreshes against sys_
-  /// concurrently with shell commands; local mutations and refreshes must
-  /// serialize on the serve mutex. Costs nothing when not serving.
+  /// concurrently with shell commands; local mutations must serialize on
+  /// the serve mutex (refreshes take it themselves). Costs nothing when not
+  /// serving.
   std::unique_lock<std::mutex> ServeGuard() {
     return server_ != nullptr
                ? std::unique_lock<std::mutex>(sys_.serve_mutex())
@@ -304,7 +307,8 @@ class Shell {
       }
       req.retry.max_retries = static_cast<uint64_t>(retries);
     }
-    const auto guard = ServeGuard();
+    // No ServeGuard: Refresh takes the serve mutex itself, in short
+    // sections around its session, and would self-deadlock under it.
     ASSIGN_OR_RETURN(RefreshReport report, sys_.Refresh(req));
     std::printf("refreshed %s: %s\n", tok[1].c_str(),
                 report.stats.ToString().c_str());
@@ -533,19 +537,23 @@ class Shell {
   }
 
   Status ConnectRemote(const std::vector<std::string>& tok) {
-    // \connect <addr> <snapshot> — attach a local replica of a snapshot
-    // served by a remote shell; refresh/show then accept its name.
-    if (tok.size() != 3) {
-      return Status::InvalidArgument("usage: \\connect <addr> <snapshot>");
+    // \connect <addr> <snapshot> [local_name] — attach a local replica of a
+    // snapshot served by a remote shell (or this one's own \serve);
+    // refresh/show then accept the local name, which defaults to the
+    // snapshot's.
+    if (tok.size() != 3 && tok.size() != 4) {
+      return Status::InvalidArgument(
+          "usage: \\connect <addr> <snapshot> [local_name]");
     }
-    if (remotes_.count(tok[2]) != 0 || sys_.GetSnapshot(tok[2]).ok()) {
-      return Status::InvalidArgument("name already in use: " + tok[2]);
+    const std::string& local = tok.size() == 4 ? tok[3] : tok[2];
+    if (remotes_.count(local) != 0 || sys_.GetSnapshot(local).ok()) {
+      return Status::InvalidArgument("name already in use: " + local);
     }
     ASSIGN_OR_RETURN(auto site, RemoteSnapshotSite::Connect(tok[1], tok[2]));
-    std::printf("attached %s from %s (snapshot id %llu)\n", tok[2].c_str(),
+    std::printf("attached %s from %s (snapshot id %llu)\n", local.c_str(),
                 tok[1].c_str(),
                 static_cast<unsigned long long>(site->snapshot_id()));
-    remotes_.emplace(tok[2], std::move(site));
+    remotes_.emplace(local, std::move(site));
     return Status::OK();
   }
 

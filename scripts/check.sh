@@ -64,22 +64,26 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)" -L fault
 # crash-point tests, under the same sanitizers.
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)" -L crash
 
-# ThreadSanitizer pass over the concurrency surface: the thread pool and the
-# parallel refresh pipeline (plus the observability integration tests that
-# drive a multi-worker refresh end to end).
+# ThreadSanitizer pass, the same three runs as the CI tsan job: the thread
+# pool and the parallel refresh pipeline (plus the observability integration
+# tests that drive a multi-worker refresh end to end), the fault matrix
+# (whose mvcc suite races real writer threads against epoch scans), and the
+# socket server surface. The whole tree is built: the `fault` and `server`
+# labels span many test binaries and the shell smoke test.
 TSAN_BUILD_DIR=build-tsan
 
 cmake -B "${TSAN_BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DSNAPDIFF_TSAN=ON
-cmake --build "${TSAN_BUILD_DIR}" -j "$(nproc)" --target \
-  thread_pool_test parallel_refresh_test observability_integration_test \
-  transport_test refresh_server_test
+cmake --build "${TSAN_BUILD_DIR}" -j "$(nproc)"
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
 
 ctest --test-dir "${TSAN_BUILD_DIR}" --output-on-failure -j "$(nproc)" \
   -R 'ThreadPool|ParallelRefresh|Observability'
+
+ctest --test-dir "${TSAN_BUILD_DIR}" --output-on-failure -j "$(nproc)" \
+  -L fault
 
 # Socket server surface: accept loop, per-connection handler threads, and
 # the client's reconnect/RESUME path all race-checked over real loopback

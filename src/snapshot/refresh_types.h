@@ -138,8 +138,8 @@ struct SnapshotDescriptor {
   /// committing it themselves: with lossy delivery an executor can finish
   /// sending while the END message never arrives, and committing then would
   /// make the retry's re-run emit a *different* (empty) stream, breaking
-  /// resume-by-sequence-number. SnapshotSystem::Refresh commits the staged
-  /// values once the snapshot site confirms the END applied.
+  /// resume-by-sequence-number. SnapshotSystem::AcknowledgeServe commits
+  /// the staged values once the snapshot site confirms the END applied.
   std::optional<std::map<Address, std::string>> pending_ideal_shadow;
   std::optional<Lsn> pending_refresh_lsn;
 };
@@ -179,13 +179,11 @@ struct RefreshStats {
 };
 
 /// Everything one refresh call needs, bundled: the snapshot, an optional
-/// per-call method override, execution-knob overrides, the retry policy,
-/// and an optional fault to inject on the site link (chaos testing). This
-/// is THE refresh entry point; Refresh(name) survives as a deprecated
-/// wrapper equivalent to RefreshRequest{name}.
+/// per-call method override, the retry policy, and an optional fault to
+/// inject on the site link (chaos testing). Execution knobs (workers,
+/// batching) are system-wide: SnapshotSystemOptions.
 struct RefreshRequest {
-  /// The defaults-only request — what the deprecated string overload
-  /// forwards to.
+  /// The defaults-only request.
   static RefreshRequest For(std::string snapshot) {
     RefreshRequest r;
     r.snapshot = std::move(snapshot);
@@ -199,11 +197,6 @@ struct RefreshRequest {
   /// between incremental methods would desynchronize their per-method
   /// base-site state). Join snapshots accept only kFull.
   std::optional<RefreshMethod> method;
-
-  /// Override SnapshotSystemOptions::refresh_workers / refresh_batch_size
-  /// for this call (nullopt = system default).
-  std::optional<size_t> workers;
-  std::optional<size_t> batch_size;
 
   RetryPolicy retry;
 

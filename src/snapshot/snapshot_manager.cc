@@ -42,19 +42,11 @@ ChannelOptions WithMetricsPrefix(ChannelOptions options, const char* prefix) {
   return options;
 }
 
-/// Releases every lock a refresh took under `txn` on every exit path.
-struct LockScope {
-  LockManager* locks;
-  TxnId txn;
-  ~LockScope() { locks->ReleaseAll(txn); }
-};
-
-/// Ends the trace on every exit path (error returns included) without
-/// clobbering an explicit End() on the success path.
-struct TraceEndGuard {
-  obs::Tracer* tracer;
-  ~TraceEndGuard() {
-    if (tracer->active()) tracer->End();
+/// Runs `fn` on every exit path unless it was cleared first.
+struct OnExit {
+  std::function<void()> fn;
+  ~OnExit() {
+    if (fn) fn();
   }
 };
 
@@ -134,12 +126,10 @@ SnapshotSystem::SnapshotSystem(SnapshotSystemOptions options)
 }
 
 RefreshExecution SnapshotSystem::MakeRefreshExecution(
-    const RefreshRequest& request, RefreshSession* session) {
+    RefreshSession* session) {
   RefreshExecution exec;
-  exec.workers = request.workers.value_or(options_.refresh_workers);
-  if (exec.workers == 0) exec.workers = 1;
-  exec.batch_size = request.batch_size.value_or(options_.refresh_batch_size);
-  if (exec.batch_size == 0) exec.batch_size = 1;
+  exec.workers = std::max<size_t>(options_.refresh_workers, 1);
+  exec.batch_size = std::max<size_t>(options_.refresh_batch_size, 1);
   if (exec.workers > 1) {
     if (refresh_pool_ == nullptr) {
       refresh_pool_ = std::make_unique<ThreadPool>(exec.workers);
@@ -149,10 +139,6 @@ RefreshExecution SnapshotSystem::MakeRefreshExecution(
   exec.session = session;
   exec.delta_cache = delta_cache_.get();
   return exec;
-}
-
-SnapshotSystem::AdmissionGuard::~AdmissionGuard() {
-  if (sys_ != nullptr && !tables_.empty()) sys_->ReleaseAdmission(tables_);
 }
 
 SnapshotSystem::AdmissionGuard SnapshotSystem::AdmitRefresh(
@@ -652,73 +638,183 @@ Status SnapshotSystem::DrainChannel() {
 
 Status SnapshotSystem::RunRefreshAttempt(
     SnapshotEntry* entry, RefreshMethod method, Timestamp request_time,
-    const RefreshRequest& request, RefreshSession* session, MessageSink* wire,
-    obs::Tracer* tracer, RefreshStats* stats,
-    const std::shared_ptr<TableEpoch>& epoch) {
+    RefreshSession* session, obs::Tracer* tracer, RefreshStats* stats,
+    const TableEpoch& epoch) {
   SnapshotDescriptor* desc = &entry->descriptor;
   BaseTable* base = entry->source;
-  MessageSink* channel = wire;
-  if (entry->join != nullptr) {
-    // General (join) snapshot: always a session-less full re-evaluation.
-    return ExecuteJoinFullRefresh(entry->join.get(), channel, stats, tracer);
-  }
-  const RefreshExecution exec = MakeRefreshExecution(request, session);
+  const RefreshExecution exec = MakeRefreshExecution(session);
   switch (method) {
-    case RefreshMethod::kFull: {
-      RETURN_IF_ERROR(ExecuteFullRefresh(base, *epoch, desc, channel, stats,
+    case RefreshMethod::kAsap:
+      // The demand's SnapTime, not the local replica's: a remote client
+      // reports its own SnapTime, and for the in-process site the two are
+      // identical (the request echoes entry->table->snap_time()).
+      if (request_time != kNullTimestamp) {
+        // Changes are already streamed; flush any partition backlog and
+        // stamp the snapshot with the cut's time. The flush re-sends
+        // buffered (session-less) propagation messages; only the END rides
+        // the session.
+        if (entry->asap != nullptr) {
+          RETURN_IF_ERROR(entry->asap->FlushBuffered());
+        }
+        return session->Send(
+            MakeEndOfRefresh(desc->id, Address::Null(), epoch.cut_time));
+      }
+      // The first refresh initializes the replica with a full copy of the
+      // cut; changes made before the snapshot existed were never streamed.
+      // Buffered changes may postdate the cut — the caller paused
+      // propagation and flushes them after the copy (idempotent for the
+      // pre-cut ones).
+      [[fallthrough]];
+    case RefreshMethod::kFull:
+      RETURN_IF_ERROR(ExecuteFullRefresh(base, epoch, desc, session, stats,
                                          tracer, exec));
       if (desc->method == RefreshMethod::kLogBased) {
         // A full override of a log-based snapshot subsumes the backlog up
         // to the cut, exactly like the executor's own truncation fallback.
-        desc->pending_refresh_lsn = epoch->cut_lsn;
+        desc->pending_refresh_lsn = epoch.cut_lsn;
       }
       return Status::OK();
-    }
     case RefreshMethod::kDifferential:
-      return ExecuteDifferentialRefresh(base, *epoch, desc, request_time,
-                                        channel, stats, tracer, exec);
+      return ExecuteDifferentialRefresh(base, epoch, desc, request_time,
+                                        session, stats, tracer, exec);
     case RefreshMethod::kIdeal:
-      return ExecuteIdealRefresh(base, *epoch, desc, channel, stats, tracer,
+      return ExecuteIdealRefresh(base, epoch, desc, session, stats, tracer,
                                  exec);
     case RefreshMethod::kLogBased:
-      return ExecuteLogBasedRefresh(base, *epoch, desc, channel, stats,
+      return ExecuteLogBasedRefresh(base, epoch, desc, session, stats,
                                     tracer, exec);
-    case RefreshMethod::kAsap: {
-      // The demand's SnapTime, not the local replica's: a remote client
-      // reports its own SnapTime, and for the in-process site the two are
-      // identical (the request echoes entry->table->snap_time()).
-      if (request_time == kNullTimestamp) {
-        // First refresh initializes the replica with a full copy of the
-        // cut; changes made before the snapshot existed were never
-        // streamed. Buffered changes may postdate the cut — the caller
-        // paused propagation and flushes them after the copy (idempotent
-        // for the pre-cut ones).
-        return ExecuteFullRefresh(base, *epoch, desc, channel, stats, tracer,
-                                  exec);
-      }
-      // Thereafter changes are already streamed; flush any partition
-      // backlog and stamp the snapshot with the cut's time. The flush
-      // re-sends buffered (session-less) propagation messages; only the
-      // END rides the session.
-      if (entry->asap != nullptr) {
-        RETURN_IF_ERROR(entry->asap->FlushBuffered());
-      }
-      const Message end =
-          MakeEndOfRefresh(desc->id, Address::Null(), epoch->cut_time);
-      return session != nullptr ? session->Send(end) : channel->Send(end);
-    }
   }
   return Status::Internal("bad refresh method");
 }
 
-void SnapshotSystem::CommitRefreshOutcome(SnapshotDescriptor* desc) {
-  if (desc->pending_ideal_shadow.has_value()) {
-    desc->ideal_shadow = std::move(*desc->pending_ideal_shadow);
-    desc->pending_ideal_shadow.reset();
+Status SnapshotSystem::ServeSessions(
+    std::vector<SessionDemand>* demands, obs::Tracer* tracer,
+    const std::function<void()>& on_epoch_open) {
+  SnapshotEntry* const lead = demands->front().entry;
+  if (lead->join != nullptr) {
+    // Sessionless join: a full re-evaluation under shared locks on both
+    // inputs, held only for this attempt — there is no resumable stream to
+    // keep frozen.
+    const TableId left = lead->join->left->info()->id;
+    const TableId right = lead->join->right->info()->id;
+    const AdmissionGuard admission = AdmitRefresh({left, right});
+    const TxnId txn = refresh_txn_++;
+    const OnExit unlock{[&] { locks_.ReleaseAll(txn); }};
+    RETURN_IF_ERROR(locks_.Acquire(txn, left, LockMode::kShared));
+    RETURN_IF_ERROR(locks_.Acquire(txn, right, LockMode::kShared));
+    const obs::Tracer::Span span(tracer, "execute join-full");
+    return ExecuteJoinFullRefresh(lead->join.get(), demands->front().wire,
+                                  &demands->front().outcome.stats, tracer);
   }
-  if (desc->pending_refresh_lsn.has_value()) {
-    desc->last_refresh_lsn = *desc->pending_refresh_lsn;
-    desc->pending_refresh_lsn.reset();
+
+  // The paper obtains "a table level lock on the base table during the fix
+  // up (and refresh) procedures"; this implementation deviates: each
+  // session reads a copy-on-write scan epoch under a *shared* lock, so
+  // writers run concurrently and fix-ups go through the conditional
+  // WriteAnnotationsIf. Admission keeps other refreshes of the table (which
+  // would race on fix-ups and staged outcomes) out for this attempt only:
+  // the session's epoch, not admission, keeps a RESUME byte-identical, so
+  // other snapshots of the table refresh freely between a stream and its
+  // ack.
+  BaseTable* base = lead->source;
+  const TableId table = base->info()->id;
+  const AdmissionGuard admission = AdmitRefresh({table});
+  std::shared_ptr<TableEpoch> epoch;
+  bool fresh = true;
+  {
+    std::lock_guard<std::mutex> guard(serve_mu_);
+    SessionDemand& lone = demands->front();
+    auto live = serve_sessions_.find(lone.request.resume_session_id);
+    if (demands->size() == 1 && live != serve_sessions_.end() &&
+        live->second.snapshot_id == lone.entry->descriptor.id) {
+      // RESUME of a live session: its epoch still pins the cut, so the
+      // deterministic re-run emits the byte-identical stream (writers
+      // mutated the live table freely in between) and suppress-by-sequence
+      // names exactly the applied prefix.
+      fresh = false;
+      lone.method = live->second.method;
+      lone.request.client_snap_time = live->second.request_time;
+      lone.outcome.session_id = live->first;
+      lone.outcome.resumed = lone.request.resume_after_seq > 0;
+      epoch = live->second.epoch;
+    } else {
+      epoch = base->OpenEpoch();
+      for (SessionDemand& d : *demands) {
+        SnapshotDescriptor& desc = d.entry->descriptor;
+        // Supersede any dangling session of the snapshot. Staged outcomes
+        // live only as long as their session, so the eviction discards
+        // whatever it staged.
+        EvictServeSessionsOf(desc.id);
+        // Only an exclusive holder (an admin operation) refuses the shared
+        // lock — on the first member, as a granted one keeps it out; the
+        // refresh then fails and the client re-demands.
+        const TxnId txn = refresh_txn_++;
+        RETURN_IF_ERROR(locks_.Acquire(txn, table, LockMode::kShared));
+        d.request.resume_after_seq = 0;
+        d.outcome.resumed = false;
+        d.outcome.session_id = next_session_id_++;
+        serve_sessions_[d.outcome.session_id] = ServeSession{
+            desc.id, txn, d.method, d.request.client_snap_time, epoch};
+      }
+    }
+  }
+  if (fresh && on_epoch_open) on_epoch_open();
+
+  std::vector<RefreshSession> sessions;
+  sessions.reserve(demands->size());
+  for (SessionDemand& d : *demands) {
+    const ServeRequest& r = d.request;
+    if (r.encoder != nullptr) {
+      // Adopt the peer decoder's committed generation (a mismatch resets
+      // the shadow and flags the stream). Syncing on RESUME too is what
+      // makes reconnects work: a new connection's encoder starts at
+      // generation 0 while the decoder is at G. Matching ones are a no-op.
+      r.encoder->SyncGeneration(d.entry->descriptor.id, r.client_codec_gen);
+      r.encoder->BeginStream(d.entry->descriptor.id, d.outcome.session_id,
+                             r.resume_after_seq > 0);
+    }
+    sessions.emplace_back(d.wire, d.outcome.session_id, r.resume_after_seq,
+                          r.encoder);
+  }
+  Status status;
+  if (demands->size() == 1) {
+    SessionDemand& d = demands->front();
+    const obs::Tracer::Span span(
+        tracer,
+        std::string("execute ").append(RefreshMethodToString(d.method)));
+    status = RunRefreshAttempt(d.entry, d.method, d.request.client_snap_time,
+                               &sessions.front(), tracer, &d.outcome.stats,
+                               *epoch);
+  } else {
+    // One shared scan fans out to every member's own session, so each
+    // stream keeps its session identity and sequence stamping on the wire.
+    std::vector<GroupRefreshMember> members;
+    members.reserve(demands->size());
+    for (size_t i = 0; i < demands->size(); ++i) {
+      SessionDemand& d = (*demands)[i];
+      members.push_back({&d.entry->descriptor, d.request.client_snap_time,
+                         &d.outcome.stats, &sessions[i]});
+    }
+    const obs::Tracer::Span span(tracer, "execute group-differential");
+    status = ExecuteGroupDifferentialRefresh(
+        base, *epoch, &members, demands->front().wire, tracer,
+        MakeRefreshExecution(nullptr));
+  }
+  for (size_t i = 0; i < demands->size(); ++i) {
+    (*demands)[i].outcome.last_seq = sessions[i].last_seq();
+    (*demands)[i].outcome.suppressed = sessions[i].suppressed();
+  }
+  // A real executor failure: these sessions cannot be resumed soundly.
+  // Unavailable (the transport died mid-stream) leaves them live, epoch and
+  // all, for the client's RESUME.
+  if (!status.ok() && !status.IsUnavailable()) EvictSessions(*demands);
+  return status;
+}
+
+void SnapshotSystem::EvictSessions(const std::vector<SessionDemand>& demands) {
+  std::lock_guard<std::mutex> guard(serve_mu_);
+  for (const SessionDemand& d : demands) {
+    EvictServeSession(d.outcome.session_id);
   }
 }
 
@@ -743,17 +839,11 @@ Result<RefreshReport> SnapshotSystem::Refresh(const RefreshRequest& request) {
     method = RefreshMethod::kFull;
   }
 
-  // Stale staged outcomes of an earlier failed call must not survive into
-  // this one (the attempt below re-stages its own).
-  desc->pending_ideal_shadow.reset();
-  desc->pending_refresh_lsn.reset();
-
   RefreshReport report;
   const bool sessionless = entry->join != nullptr;
-  if (!sessionless) report.session_id = next_session_id_++;
 
   tracer_.Begin("refresh " + request.snapshot);
-  TraceEndGuard trace_guard{&tracer_};
+  OnExit end_trace{[this] { if (tracer_.active()) tracer_.End(); }};
 
   // Deliver anything still in flight — ASAP streams, and the applied
   // prefix of an interrupted earlier session — before measuring.
@@ -762,24 +852,12 @@ Result<RefreshReport> SnapshotSystem::Refresh(const RefreshRequest& request) {
     RETURN_IF_ERROR(DrainChannel());
   }
 
-  // Compact wire mode: both codec halves are local, so the generation
-  // exchange a remote client carries in its demand is a direct call here.
-  WireEncoder* encoder = sessionless ? nullptr : site->encoder.get();
-  if (encoder != nullptr) {
-    encoder->SyncGeneration(desc->id, site->decoder->generation(desc->id));
-  }
-
   // A scripted per-request fault window: armed before the first attempt,
   // healed (at the latest) when the call returns.
-  struct FaultScope {
-    Channel* channel = nullptr;
-    ~FaultScope() {
-      if (channel != nullptr) channel->Heal();
-    }
-  } fault_scope;
+  OnExit heal;
   if (request.fault.has_value() && !request.fault->empty()) {
     channel->Arm(*request.fault);
-    fault_scope.channel = channel;
+    heal.fn = [channel] { channel->Heal(); };
   }
 
   // The demand: snapshot → base, carrying SnapTime + restriction.
@@ -789,75 +867,46 @@ Result<RefreshReport> SnapshotSystem::Refresh(const RefreshRequest& request) {
   ASSIGN_OR_RETURN(Message demand, request_channel_.Receive());
   request_span.Close();
 
-  // The paper obtains "a table level lock on the base table during the fix
-  // up (and refresh) procedures"; this implementation deviates: the refresh
-  // reads a copy-on-write scan epoch under a *shared* lock, so writers run
-  // concurrently and fix-ups go through the conditional WriteAnnotationsIf.
-  // Per-table admission serializes against other refreshes of the same
-  // table (which would race on fix-ups and staged outcomes). The epoch is
-  // held across every attempt of this call: retries re-transmit the same
-  // frozen cut, which is what makes resume-by-sequence sound even while
-  // the live table keeps changing.
-  const TxnId txn = refresh_txn_++;
-  LockScope lock_scope{&locks_, txn};
-  AdmissionGuard admission;
-  std::shared_ptr<TableEpoch> epoch;
-  if (entry->join != nullptr) {
-    JoinDescriptor* join = entry->join.get();
-    admission = AdmitRefresh(
-        {join->left->info()->id, join->right->info()->id});
-    RETURN_IF_ERROR(
-        locks_.Acquire(txn, join->left->info()->id, LockMode::kShared));
-    RETURN_IF_ERROR(
-        locks_.Acquire(txn, join->right->info()->id, LockMode::kShared));
-  }
   // ASAP delivery order vs. the cut: changes propagated after the epoch
   // opens must not land at the site before the copy's (older) image of the
   // same row. Pause propagation into the buffer across the stream and
-  // flush once the call ends; re-sent pre-cut changes are idempotent.
-  struct AsapPause {
-    AsapPropagator* asap = nullptr;
-    ~AsapPause() {
-      // A failed flush (still-partitioned channel) leaves the messages
-      // buffered for the next flush; nothing to do with the status here.
-      if (asap != nullptr) (void)asap->ResumeAndFlush();
-    }
-  } asap_pause;
-  if (entry->join == nullptr) {
-    if (method == RefreshMethod::kAsap && entry->asap != nullptr) {
-      entry->asap->PauseToBuffer();
-      asap_pause.asap = entry->asap.get();
-    }
-    admission = AdmitRefresh({entry->source->info()->id});
-    RETURN_IF_ERROR(locks_.Acquire(txn, entry->source->info()->id,
-                                   LockMode::kShared));
-    epoch = entry->source->OpenEpoch();
-    if (request.on_epoch_open) request.on_epoch_open();
+  // flush once the call ends; re-sent pre-cut changes are idempotent. A
+  // failed flush (still-partitioned channel) leaves the messages buffered
+  // for the next flush.
+  OnExit resume_asap;
+  if (method == RefreshMethod::kAsap && entry->asap != nullptr) {
+    entry->asap->PauseToBuffer();
+    resume_asap.fn = [asap = entry->asap.get()] {
+      (void)asap->ResumeAndFlush();
+    };
   }
 
-  RefreshStats stats;
+  // This call is a local client of the refresh core, like a remote site:
+  // the first attempt opens the session and its epoch, every retry
+  // RESUMEs it, so all attempts re-transmit one frozen cut. Every exit but
+  // success evicts the session; success acknowledges it.
+  std::vector<SessionDemand> demands(1);
+  SessionDemand& local = demands.front();
+  local.entry = entry;
+  local.method = method;
+  local.wire = channel;
+  local.request.client_snap_time = demand.timestamp;
+  // Compact wire mode: both codec halves are local, so the generation a
+  // remote client carries in its demand is read off the site decoder.
+  WireEncoder* encoder = sessionless ? nullptr : site->encoder.get();
+  local.request.encoder = encoder;
+  RefreshStats& stats = local.outcome.stats;
+  OnExit evict{[&] { EvictSessions(demands); }};
+
   const ChannelStats before = channel->stats();
   const Timestamp initial_snap_time = snap->snap_time();
-  const std::string execute_label =
-      entry->join != nullptr
-          ? "execute join-full"
-          : std::string("execute ").append(RefreshMethodToString(method));
-  uint64_t resume_after = 0;
-
   for (;;) {
     if (encoder != nullptr) {
-      encoder->BeginStream(desc->id, report.session_id, resume_after > 0);
+      local.request.client_codec_gen = site->decoder->generation(desc->id);
     }
-    RefreshSession session(channel, report.session_id, resume_after, encoder);
-    RefreshSession* session_ptr = sessionless ? nullptr : &session;
-    obs::Tracer::Span exec_span(&tracer_, execute_label);
-    Status exec = RunRefreshAttempt(entry, method, demand.timestamp, request,
-                                    session_ptr, channel, &tracer_, &stats,
-                                    epoch);
-    exec_span.Close();
-    if (session_ptr != nullptr) {
-      report.suppressed_messages += session.suppressed();
-    }
+    Status exec = ServeSessions(&demands, &tracer_, request.on_epoch_open);
+    report.session_id = local.outcome.session_id;
+    report.suppressed_messages += local.outcome.suppressed;
     if (!exec.ok() && !exec.IsUnavailable()) return exec;
 
     Status failure = exec;
@@ -897,7 +946,7 @@ Result<RefreshReport> SnapshotSystem::Refresh(const RefreshRequest& request) {
       // fault so the site's resume checkpoint is current.
       RETURN_IF_ERROR(DeliverPending(site, {{desc->id, &stats}}).status());
     }
-    resume_after = 0;
+    uint64_t resume_after = 0;
     if (!sessionless && request.retry.resume) {
       // RESUME_REFRESH negotiation: the snapshot site reports its durably
       // applied prefix over the demand link; the base re-runs the refresh
@@ -913,6 +962,8 @@ Result<RefreshReport> SnapshotSystem::Refresh(const RefreshRequest& request) {
         metric_refresh_resumes_->Inc();
       }
     }
+    local.request.resume_session_id = report.session_id;
+    local.request.resume_after_seq = resume_after;
     // Capped exponential backoff in simulated ticks; advancing the link's
     // clock is also what fires FaultPlan::WithHealAfter.
     uint64_t backoff = request.retry.initial_backoff_ticks;
@@ -941,10 +992,25 @@ Result<RefreshReport> SnapshotSystem::Refresh(const RefreshRequest& request) {
   // receive-side attribution DeliverPending accumulated.
   stats.traffic = channel->stats() - before;
   // The site applied the session's END (that is what broke the loop) — the
-  // in-process analogue of SESSION_ACK, so the encoder's folds commit.
-  if (encoder != nullptr) encoder->CommitStream(desc->id, report.session_id);
-  CommitRefreshOutcome(desc);
-  FinishRefreshTrace(request.snapshot, *desc, *snap, stats);
+  // in-process analogue of SESSION_ACK: the encoder's folds and the staged
+  // outcome commit, and the session's lock and epoch are released.
+  // NotFound means a concurrent serve of this snapshot superseded the
+  // session; harmless, as on the serve path.
+  if (!sessionless) {
+    if (encoder != nullptr) encoder->CommitStream(desc->id, report.session_id);
+    (void)AcknowledgeServe(desc->id, report.session_id);
+  }
+  evict.fn = nullptr;
+  tracer_.End();
+  metric_refresh_duration_->Observe(
+      static_cast<double>(tracer_.duration_us()));
+  CountRefreshed(request.snapshot, *snap);
+  SNAPDIFF_LOG(Info) << "refresh complete"
+                     << obs::kv("snapshot", request.snapshot)
+                     << obs::kv("method", RefreshMethodToString(desc->method))
+                     << obs::kv("messages", stats.traffic.messages)
+                     << obs::kv("wire_bytes", stats.traffic.wire_bytes)
+                     << obs::kv("duration_us", tracer_.duration_us());
   report.trace_id = tracer_.name();
   report.stats = std::move(stats);
   return report;
@@ -960,22 +1026,6 @@ void SnapshotSystem::CountRefreshed(const std::string& snapshot_name,
   reg.GetGauge("snapshot." + snapshot_name + ".staleness")->Set(staleness);
 }
 
-void SnapshotSystem::FinishRefreshTrace(const std::string& snapshot_name,
-                                        const SnapshotDescriptor& desc,
-                                        const SnapshotTable& snap,
-                                        const RefreshStats& stats) {
-  tracer_.End();
-  metric_refresh_duration_->Observe(
-      static_cast<double>(tracer_.duration_us()));
-  CountRefreshed(snapshot_name, snap);
-  SNAPDIFF_LOG(Info) << "refresh complete"
-                     << obs::kv("snapshot", snapshot_name)
-                     << obs::kv("method", RefreshMethodToString(desc.method))
-                     << obs::kv("messages", stats.traffic.messages)
-                     << obs::kv("wire_bytes", stats.traffic.wire_bytes)
-                     << obs::kv("duration_us", tracer_.duration_us());
-}
-
 Result<SnapshotSystem::SnapshotWireInfo> SnapshotSystem::DescribeSnapshot(
     const std::string& name) {
   std::lock_guard<std::mutex> guard(serve_mu_);
@@ -983,8 +1033,7 @@ Result<SnapshotSystem::SnapshotWireInfo> SnapshotSystem::DescribeSnapshot(
   SnapshotWireInfo info;
   info.id = entry->descriptor.id;
   info.value_schema = entry->table->value_schema();
-  info.method = entry->join != nullptr ? RefreshMethod::kFull
-                                       : entry->descriptor.method;
+  info.method = entry->descriptor.method;  // kFull for joins
   return info;
 }
 
@@ -1010,134 +1059,34 @@ void SnapshotSystem::EvictServeSessionsOf(SnapshotId snapshot_id) {
 
 Result<SnapshotSystem::ServeOutcome> SnapshotSystem::ServeRefresh(
     const ServeRequest& request, MessageSink* wire) {
-  SnapshotEntry* entry = nullptr;
+  std::vector<SessionDemand> demands(1);
+  SessionDemand& remote = demands.front();
   {
-    // Registry lookup only; execution is NOT under serve_mu_ anymore, so
-    // server threads refreshing different tables stream concurrently.
+    // Registry lookup only; execution is NOT under serve_mu_, so server
+    // threads refreshing different tables stream concurrently.
     std::lock_guard<std::mutex> guard(serve_mu_);
     auto by_id = snapshots_by_id_.find(request.snapshot_id);
     if (by_id == snapshots_by_id_.end()) {
       return Status::NotFound("no snapshot with wire id " +
                               std::to_string(request.snapshot_id));
     }
-    entry = by_id->second;
+    remote.entry = by_id->second;
   }
-  SnapshotDescriptor* desc = &entry->descriptor;
-
-  RefreshRequest exec_request;
-  exec_request.snapshot = entry->table->name();
-  exec_request.workers = request.workers;
-  exec_request.batch_size = request.batch_size;
-
-  ServeOutcome outcome;
-  RefreshStats stats;
-
-  if (entry->join != nullptr) {
-    // Sessionless join serve: a full re-evaluation under shared locks held
-    // only for the call — there is no resumable stream to keep frozen.
-    AdmissionGuard admission = AdmitRefresh(
-        {entry->join->left->info()->id, entry->join->right->info()->id});
-    const LockScope lock_scope{&locks_, refresh_txn_++};
-    RETURN_IF_ERROR(locks_.Acquire(
-        lock_scope.txn, entry->join->left->info()->id, LockMode::kShared));
-    RETURN_IF_ERROR(locks_.Acquire(
-        lock_scope.txn, entry->join->right->info()->id, LockMode::kShared));
-    RETURN_IF_ERROR(RunRefreshAttempt(entry, RefreshMethod::kFull,
-                                      request.client_snap_time, exec_request,
-                                      /*session=*/nullptr, wire,
-                                      /*tracer=*/nullptr, &stats,
-                                      /*epoch=*/nullptr));
-    outcome.stats = std::move(stats);
-    return outcome;
+  // After the initial copy, ASAP changes stream into the in-process site
+  // link only. A demand carrying a SnapTime is past its initial copy (an
+  // interrupted copy RESUMEs with none), so it is refused.
+  const SnapshotDescriptor& desc = remote.entry->descriptor;
+  if (desc.method == RefreshMethod::kAsap &&
+      request.client_snap_time != kNullTimestamp) {
+    return Status::InvalidArgument(
+        "ASAP propagation is in-process only; a remote site receives "
+        "the initial full copy and must re-attach for a fresh copy");
   }
-
-  // Admission is held only while this attempt streams — not until the ack.
-  // The session's epoch (not a table lock) is what keeps a later RESUME
-  // byte-identical, so other snapshots of this table refresh freely
-  // between a stream and its ack.
-  AdmissionGuard admission = AdmitRefresh({entry->source->info()->id});
-
-  uint64_t session_id = 0;
-  uint64_t resume_after = 0;
-  RefreshMethod method = desc->method;
-  Timestamp request_time = request.client_snap_time;
-  std::shared_ptr<TableEpoch> epoch;
-
-  {
-    std::lock_guard<std::mutex> guard(serve_mu_);
-    auto live = request.resume_session_id != 0
-                    ? serve_sessions_.find(request.resume_session_id)
-                    : serve_sessions_.end();
-    if (live != serve_sessions_.end() &&
-        live->second.snapshot_id == desc->id) {
-      // RESUME of a live session: its scan epoch still pins the cut, so
-      // the deterministic re-run emits the byte-identical stream (writers
-      // mutated the live table freely in between) and suppress-by-sequence
-      // names exactly the applied prefix.
-      session_id = request.resume_session_id;
-      resume_after = request.resume_after_seq;
-      method = live->second.method;
-      request_time = live->second.request_time;
-      epoch = live->second.epoch;
-      outcome.resumed = resume_after > 0;
-    } else {
-      // Fresh session; supersede any dangling session for this snapshot.
-      EvictServeSessionsOf(desc->id);
-
-      // Stale staged outcomes of an earlier unacknowledged serve must not
-      // survive into this one.
-      desc->pending_ideal_shadow.reset();
-      desc->pending_refresh_lsn.reset();
-
-      if (method == RefreshMethod::kAsap &&
-          request_time != kNullTimestamp) {
-        return Status::InvalidArgument(
-            "ASAP propagation is in-process only; a remote site receives "
-            "the initial full copy and must re-attach for a fresh copy");
-      }
-
-      // Only an exclusive holder (an admin operation) refuses the shared
-      // lock; the serve then fails and the client re-demands.
-      const TxnId txn = refresh_txn_++;
-      RETURN_IF_ERROR(locks_.Acquire(txn, entry->source->info()->id,
-                                     LockMode::kShared));
-      epoch = entry->source->OpenEpoch();
-      session_id = next_session_id_++;
-      serve_sessions_[session_id] =
-          ServeSession{desc->id, txn, method, request_time, epoch};
-    }
-  }
-
-  if (request.encoder != nullptr) {
-    // The demand carried the client decoder's committed generation; a
-    // mismatch resets the shadow and the stream opens with a reset flag.
-    // Syncing on RESUME too is what makes reconnects work: the new
-    // connection's encoder starts at generation 0 with an empty shadow
-    // while the client decoder is at G — adopting G (and re-deriving the
-    // in-session shadow by replaying the suppressed prefix) realigns them.
-    // When generations already match the sync is a no-op.
-    request.encoder->SyncGeneration(desc->id, request.client_codec_gen);
-    request.encoder->BeginStream(desc->id, session_id, resume_after > 0);
-  }
-  RefreshSession session(wire, session_id, resume_after, request.encoder);
-  Status exec = RunRefreshAttempt(entry, method, request_time, exec_request,
-                                  &session, wire, /*tracer=*/nullptr,
-                                  &stats, epoch);
-  outcome.session_id = session_id;
-  outcome.last_seq = session.last_seq();
-  outcome.suppressed = session.suppressed();
-  if (!exec.ok()) {
-    if (!exec.IsUnavailable()) {
-      // A real executor failure: this session cannot be resumed soundly.
-      std::lock_guard<std::mutex> guard(serve_mu_);
-      EvictServeSession(session_id);
-    }
-    // Unavailable = the transport died mid-stream. The session (and its
-    // epoch) stays live for the client's RESUME.
-    return exec;
-  }
-  outcome.stats = std::move(stats);
-  return outcome;
+  remote.method = desc.method;  // kFull for joins
+  remote.wire = wire;
+  remote.request = request;
+  RETURN_IF_ERROR(ServeSessions(&demands, /*tracer=*/nullptr));
+  return std::move(remote.outcome);
 }
 
 Status SnapshotSystem::AcknowledgeServe(SnapshotId snapshot_id,
@@ -1150,7 +1099,15 @@ Status SnapshotSystem::AcknowledgeServe(SnapshotId snapshot_id,
   }
   auto by_id = snapshots_by_id_.find(snapshot_id);
   if (by_id != snapshots_by_id_.end()) {
-    CommitRefreshOutcome(&by_id->second->descriptor);
+    SnapshotDescriptor* desc = &by_id->second->descriptor;
+    if (desc->pending_ideal_shadow.has_value()) {
+      desc->ideal_shadow = std::move(*desc->pending_ideal_shadow);
+      desc->pending_ideal_shadow.reset();
+    }
+    if (desc->pending_refresh_lsn.has_value()) {
+      desc->last_refresh_lsn = *desc->pending_refresh_lsn;
+      desc->pending_refresh_lsn.reset();
+    }
   }
   locks_.ReleaseAll(it->second.txn);
   serve_sessions_.erase(it);
@@ -1164,8 +1121,6 @@ Result<std::map<std::string, RefreshStats>> SnapshotSystem::RefreshGroup(
   }
   std::vector<SnapshotEntry*> entries;
   entries.reserve(snapshot_names.size());
-  BaseTable* base = nullptr;
-  SnapshotSite* group_site = nullptr;
   for (const std::string& name : snapshot_names) {
     ASSIGN_OR_RETURN(SnapshotEntry * entry, GetEntry(name));
     if (entry->descriptor.method != RefreshMethod::kDifferential) {
@@ -1174,81 +1129,63 @@ Result<std::map<std::string, RefreshStats>> SnapshotSystem::RefreshGroup(
           " is " +
           std::string(RefreshMethodToString(entry->descriptor.method)));
     }
-    if (base == nullptr) {
-      base = entry->source;
-      group_site = entry->site;
-    } else if (base != entry->source) {
+    if (std::find(entries.begin(), entries.end(), entry) != entries.end()) {
+      return Status::InvalidArgument("duplicate group member " + name);
+    }
+    if (!entries.empty() && entries.front()->source != entry->source) {
       return Status::InvalidArgument(
           "group members must share one base table");
-    } else if (group_site != entry->site) {
+    }
+    if (!entries.empty() && entries.front()->site != entry->site) {
       return Status::InvalidArgument(
           "group members must live at one snapshot site (one transmission "
           "burst, one link)");
     }
     entries.push_back(entry);
   }
+  SnapshotSite* group_site = entries.front()->site;
 
   tracer_.Begin("refresh-group");
-  TraceEndGuard trace_guard{&tracer_};
+  OnExit end_trace{[this] { if (tracer_.active()) tracer_.End(); }};
 
   {
     obs::Tracer::Span drain_span(&tracer_, "drain");
     RETURN_IF_ERROR(DrainChannel());
   }
 
-  std::map<std::string, RefreshStats> results;
   std::map<SnapshotId, RefreshStats*> member_stats;
-  std::vector<GroupRefreshMember> members;
-  members.reserve(entries.size());
-  // Every member transmits through its own wire session, so the shared
-  // scan's fan-out keeps per-session identity and sequence stamping intact
-  // on the wire — exactly what a real multi-subscriber server needs.
-  std::vector<std::unique_ptr<RefreshSession>> sessions;
-  sessions.reserve(entries.size());
+  std::vector<SessionDemand> demands;
+  demands.reserve(entries.size());
   obs::Tracer::Span request_span(&tracer_, "request");
   // One encoder serves the whole group: the shared scan fans each row out to
   // every member session, so the encode memo turns N near-identical encodes
   // into one encode plus N−1 cache hits.
   WireEncoder* group_encoder = group_site->encoder.get();
   for (SnapshotEntry* entry : entries) {
-    RETURN_IF_ERROR(request_channel_.Send(
-        MakeRefreshRequest(entry->descriptor.id, entry->table->snap_time(),
-                           entry->descriptor.restriction_text)));
+    const SnapshotId id = entry->descriptor.id;
+    RETURN_IF_ERROR(request_channel_.Send(MakeRefreshRequest(
+        id, entry->table->snap_time(), entry->descriptor.restriction_text)));
     ASSIGN_OR_RETURN(Message request, request_channel_.Receive());
-    RefreshStats& stats = results[entry->descriptor.name];
-    member_stats[entry->descriptor.id] = &stats;
-    const uint64_t session_id = next_session_id_++;
+    SessionDemand& d = demands.emplace_back();
+    d.entry = entry;
+    d.wire = &group_site->channel;
+    d.request.client_snap_time = request.timestamp;
+    d.request.encoder = group_encoder;
     if (group_encoder != nullptr) {
-      group_encoder->SyncGeneration(
-          entry->descriptor.id,
-          group_site->decoder->generation(entry->descriptor.id));
-      group_encoder->BeginStream(entry->descriptor.id, session_id,
-                                 /*resumed=*/false);
+      d.request.client_codec_gen = group_site->decoder->generation(id);
     }
-    sessions.push_back(std::make_unique<RefreshSession>(
-        &group_site->channel, session_id, /*resume_after=*/0,
-        group_encoder));
-    members.push_back({&entry->descriptor, request.timestamp, &stats,
-                       sessions.back().get()});
+    member_stats[id] = &d.outcome.stats;
   }
-  request_span.Note("members", members.size());
+  request_span.Note("members", demands.size());
   request_span.Close();
 
-  // Shared scan epoch in place of the old exclusive table lock: the group
-  // scan reads the cut while writers mutate the live table concurrently.
-  AdmissionGuard admission = AdmitRefresh({base->info()->id});
-  const LockScope lock_scope{&locks_, refresh_txn_++};
-  RETURN_IF_ERROR(
-      locks_.Acquire(lock_scope.txn, base->info()->id, LockMode::kShared));
+  // Every member whose END does not apply fails the group; its session and
+  // every other one not yet acknowledged are evicted.
+  OnExit evict{[&] { EvictSessions(demands); }};
   Channel* channel = &group_site->channel;
   const ChannelStats before = channel->stats();
-  obs::Tracer::Span exec_span(&tracer_, "execute group-differential");
-  const std::shared_ptr<TableEpoch> epoch = base->OpenEpoch();
-  RETURN_IF_ERROR(ExecuteGroupDifferentialRefresh(
-      base, *epoch, &members, channel, &tracer_,
-      MakeRefreshExecution(RefreshRequest{}, nullptr)));
+  RETURN_IF_ERROR(ServeSessions(&demands, &tracer_));
   const ChannelStats total = channel->stats() - before;
-  exec_span.Close();
 
   // Receive and apply through the site's applier, attributing message
   // counts per snapshot. Frames are a property of the whole burst; every
@@ -1262,29 +1199,33 @@ Result<std::map<std::string, RefreshStats>> SnapshotSystem::RefreshGroup(
   // to the burst's data-message totals; frames/wire_bytes are whole-burst
   // figures repeated per member, so the burst total is reported separately.
   ChannelStats attributed;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const SnapshotId id = entries[i]->descriptor.id;
-    const uint64_t session_id = sessions[i]->session_id();
+  std::map<std::string, RefreshStats> results;
+  for (SessionDemand& d : demands) {
+    const SnapshotId id = d.entry->descriptor.id;
+    const uint64_t session_id = d.outcome.session_id;
     if (!group_site->applier.Complete(id, session_id)) {
       return Status::Unavailable(
-          "group refresh of " + entries[i]->descriptor.name + " session " +
+          "group refresh of " + d.entry->descriptor.name + " session " +
           std::to_string(session_id) + " incomplete: messages lost in transit");
     }
-    // Everything the member's stream carried has been applied, so its
-    // encoder folds commit.
+    // Everything the member's stream carried has been applied: its encoder
+    // folds commit and its session is acknowledged.
     if (group_encoder != nullptr) group_encoder->CommitStream(id, session_id);
-    RefreshStats& stats = *members[i].stats;
+    (void)AcknowledgeServe(id, session_id);
+    RefreshStats& stats = d.outcome.stats;
     stats.traffic.frames = total.frames;
     stats.traffic.wire_bytes = total.wire_bytes;
     attributed += stats.traffic;
-    CountRefreshed(entries[i]->descriptor.name, *entries[i]->table);
+    CountRefreshed(d.entry->descriptor.name, *d.entry->table);
+    results[d.entry->descriptor.name] = std::move(stats);
   }
+  evict.fn = nullptr;
 
   tracer_.End();
   metric_refresh_duration_->Observe(
       static_cast<double>(tracer_.duration_us()));
   SNAPDIFF_LOG(Info) << "group refresh complete"
-                     << obs::kv("members", entries.size())
+                     << obs::kv("members", demands.size())
                      << obs::kv("attributed_messages", attributed.messages)
                      << obs::kv("attributed_payload_bytes",
                                 attributed.payload_bytes)

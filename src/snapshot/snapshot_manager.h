@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -179,14 +180,12 @@ class SnapshotSystem {
   /// transport instead of the in-process site link: one transmission
   /// attempt streamed into an arbitrary MessageSink (a SocketTransport, a
   /// recording sink, a plain Channel), with the apply half living at the
-  /// remote client. Serve calls no longer serialize on one global mutex:
-  /// refresh execution admits *per base table* (two refreshes of different
-  /// tables stream concurrently; two of the same table queue, since they
-  /// would race on fix-up writes and delta-cache fills). Writers never wait
-  /// at all — each refresh reads a copy-on-write scan epoch
-  /// (BaseTable::OpenEpoch) under a shared table lock instead of holding
-  /// the exclusive one. serve_mutex() still guards the session and
-  /// snapshot registries themselves.
+  /// remote client. It runs the same private core as Refresh and
+  /// RefreshGroup: execution admits *per base table* (refreshes of
+  /// different tables stream concurrently; two of the same table queue,
+  /// since they would race on fix-up writes and delta-cache fills), and
+  /// writers never wait — each session reads a copy-on-write scan epoch
+  /// (BaseTable::OpenEpoch) under a shared table lock.
 
   /// What a remote client needs to attach to a snapshot.
   struct SnapshotWireInfo {
@@ -219,9 +218,6 @@ class SnapshotSystem {
     /// The client's durably applied prefix; messages with
     /// seq <= resume_after_seq are suppressed (resume path only).
     uint64_t resume_after_seq = 0;
-    /// Server-side execution overrides (default: system options).
-    std::optional<size_t> workers;
-    std::optional<size_t> batch_size;
     /// Compact-wire serve (negotiated socket connections): the
     /// per-connection encoder the stream must pass through, and the
     /// client's committed codec generation carried by the demand message.
@@ -249,21 +245,31 @@ class SnapshotSystem {
   Result<ServeOutcome> ServeRefresh(const ServeRequest& request,
                                     MessageSink* wire);
 
-  /// Commits the staged outcome of a served session (ideal shadow, log
-  /// position) and releases its scan epoch and shared lock. NotFound if
-  /// the session is no longer live (already superseded); that is harmless
-  /// — the superseding serve restaged from the uncommitted state.
+  /// Commits the staged outcome of a session (ideal shadow, log position)
+  /// and releases its scan epoch and shared lock — the only place staged
+  /// outcomes commit, for every entry point. NotFound if the session is no
+  /// longer live (already superseded); that is harmless — the superseding
+  /// serve restaged from the uncommitted state.
   Status AcknowledgeServe(SnapshotId snapshot_id, uint64_t session_id);
 
-  /// Guards the session and snapshot registries on the serve path. Exposed
-  /// so an embedding process (the shell's \serve) can mutate the system
-  /// safely while a server thread pool is serving from it. Local calls
-  /// (Refresh, base-table writes) do NOT take this mutex themselves —
-  /// single-threaded embedders pay nothing; concurrent embedders hold it
-  /// around local catalog/snapshot mutations. Refresh *execution* is no
-  /// longer under this mutex; it serializes per base table (see the serve
-  /// API comment above).
+  /// Guards the session and snapshot registries. Exposed so an embedding
+  /// process (the shell's \serve) can mutate the system safely while a
+  /// server thread pool is serving from it: concurrent embedders hold it
+  /// around base-table writes and catalog/snapshot mutations. Every refresh
+  /// entry point (Refresh, RefreshGroup, ServeRefresh) takes it itself, in
+  /// short sections that open, ack or evict its sessions, so it must NOT be
+  /// held around those calls. Refresh *execution* is not under this mutex;
+  /// it serializes per base table (see the serve API comment above).
   std::mutex& serve_mutex() { return serve_mu_; }
+
+  /// Refresh sessions currently live, each holding a shared table lock and
+  /// a scan epoch. Local Refresh and RefreshGroup calls leave none behind;
+  /// a served session lives until its client's ack, or its RESUME after
+  /// the stream died.
+  size_t live_sessions() {
+    std::lock_guard<std::mutex> guard(serve_mu_);
+    return serve_sessions_.size();
+  }
 
   /// High-water mark of concurrently executing refreshes (local + served)
   /// since construction — the observable proof that per-table admission
@@ -399,25 +405,35 @@ class SnapshotSystem {
   /// resolver closes over the snapshot registry).
   void AttachWireCodecs(SnapshotSite* site);
 
-  /// One transmission attempt of `method` for `entry`, sending through
-  /// `session` when non-null, else directly into `wire` (the site channel
-  /// for in-process refreshes, the socket transport for served ones).
-  /// `tracer` may be null (serve path). Per-method state advances (ideal
-  /// shadow, log LSN) are staged on the descriptor, not committed.
-  /// `epoch` is the copy-on-write cut every single-table method reads and
-  /// whose cut_time becomes the new SnapTime; the same epoch across
-  /// attempts is what makes retries re-transmit the byte-identical stream
-  /// while writers mutate. Join snapshots pass null: they re-evaluate
-  /// under shared locks instead.
+  /// One snapshot's part in one run of the refresh core: the demand as a
+  /// remote client would send it (`request.snapshot_id` unused), where the
+  /// stream goes (the site channel in-process, else the transport), and
+  /// the outcome. A RESUME adopts the live session's method and SnapTime.
+  struct SessionDemand {
+    SnapshotEntry* entry = nullptr;
+    RefreshMethod method = RefreshMethod::kDifferential;
+    MessageSink* wire = nullptr;
+    ServeRequest request;
+    ServeOutcome outcome;
+  };
+  /// THE refresh core: one transmission attempt for `demands`, all of one
+  /// base table (several only for a differential group; a join alone,
+  /// sessionless). Admits the table, resumes a lone demand's live session
+  /// or registers a fresh one per demand (own shared lock, one shared new
+  /// epoch, then `on_epoch_open`), and streams. Sessions stay live until
+  /// AcknowledgeServe or eviction; failures other than Unavailable evict.
+  Status ServeSessions(std::vector<SessionDemand>* demands,
+                       obs::Tracer* tracer,
+                       const std::function<void()>& on_epoch_open = {});
+
+  /// One single-table transmission attempt of `method` through `session`,
+  /// reading `epoch`'s cut (whose cut_time becomes the new SnapTime).
+  /// Per-method state advances (ideal shadow, log LSN) are staged on the
+  /// descriptor; AcknowledgeServe commits them.
   Status RunRefreshAttempt(SnapshotEntry* entry, RefreshMethod method,
-                           Timestamp request_time,
-                           const RefreshRequest& request,
-                           RefreshSession* session, MessageSink* wire,
+                           Timestamp request_time, RefreshSession* session,
                            obs::Tracer* tracer, RefreshStats* stats,
-                           const std::shared_ptr<TableEpoch>& epoch);
-  /// Commits staged per-method refresh state once the snapshot site
-  /// confirmed the session applied (see SnapshotDescriptor).
-  void CommitRefreshOutcome(SnapshotDescriptor* desc);
+                           const TableEpoch& epoch);
 
   /// Restores base tables recorded in a checkpointed data file, then
   /// replays the WAL tail (redo + loser undo) on top of them.
@@ -429,22 +445,14 @@ class SnapshotSystem {
   /// table id the WAL mentions.
   Status PersistCatalogIfDurable();
 
-  /// Execution knobs for the refresh executors, derived from options_ with
-  /// per-request overrides applied. First call resolving workers > 1
-  /// constructs the shared pool.
-  RefreshExecution MakeRefreshExecution(const RefreshRequest& request,
-                                        RefreshSession* session);
+  /// Execution knobs for the refresh executors, derived from options_.
+  /// First call resolving workers > 1 constructs the shared pool.
+  RefreshExecution MakeRefreshExecution(RefreshSession* session);
 
   /// Records one completed refresh of a snapshot in the metrics registry:
   /// refresh counters (global and per snapshot) and the staleness gauge.
   void CountRefreshed(const std::string& snapshot_name,
                       const SnapshotTable& snap);
-  /// Ends the open trace and records the refresh in the metrics registry
-  /// (duration histogram plus CountRefreshed).
-  void FinishRefreshTrace(const std::string& snapshot_name,
-                          const SnapshotDescriptor& desc,
-                          const SnapshotTable& snap,
-                          const RefreshStats& stats);
 
   SnapshotSystemOptions options_;
 
@@ -496,11 +504,12 @@ class SnapshotSystem {
   std::atomic<uint64_t> next_session_id_{1};
   std::atomic<TxnId> refresh_txn_{1u << 20};
 
-  /// One live served refresh session: the scan epoch keeping the cut
-  /// frozen between the stream and the client's ack (or resume), the
-  /// shared-lock owner, and the request parameters a byte-identical re-run
-  /// needs. Writers mutate the live table freely the whole time; the epoch
-  /// alone pins the pages a RESUME re-reads.
+  /// One live refresh session (local, group member or served): the scan
+  /// epoch keeping the cut frozen between the stream and the client's ack
+  /// (or resume), the shared-lock owner, and the request parameters a
+  /// byte-identical re-run needs. Writers mutate the live table freely the
+  /// whole time; the epoch alone pins the pages a RESUME re-reads. Only an
+  /// ack (AcknowledgeServe) or an eviction releases an entry.
   struct ServeSession {
     SnapshotId snapshot_id = 0;
     TxnId txn = 0;
@@ -514,6 +523,9 @@ class SnapshotSystem {
   /// Evicts every live serve session of one snapshot (superseded by a
   /// fresh serve, or the snapshot was dropped). Caller holds serve_mu_.
   void EvictServeSessionsOf(SnapshotId snapshot_id);
+  /// Evicts every demand's session still live (acked or already evicted
+  /// ones are skipped). Takes serve_mu_.
+  void EvictSessions(const std::vector<SessionDemand>& demands);
 
   /// --- per-table refresh admission ---
   ///
@@ -527,30 +539,14 @@ class SnapshotSystem {
   /// never deadlock against a queued admission.
   class AdmissionGuard {
    public:
-    AdmissionGuard() = default;
     AdmissionGuard(SnapshotSystem* sys, std::vector<TableId> tables)
         : sys_(sys), tables_(std::move(tables)) {}
-    AdmissionGuard(AdmissionGuard&& o) noexcept
-        : sys_(o.sys_), tables_(std::move(o.tables_)) {
-      o.sys_ = nullptr;
-    }
-    /// Move-assign releases the current admission (only ever assigned into
-    /// an empty guard in practice).
-    AdmissionGuard& operator=(AdmissionGuard&& o) noexcept {
-      if (this != &o) {
-        if (sys_ != nullptr && !tables_.empty()) {
-          sys_->ReleaseAdmission(tables_);
-        }
-        sys_ = o.sys_;
-        tables_ = std::move(o.tables_);
-        o.sys_ = nullptr;
-      }
-      return *this;
-    }
-    ~AdmissionGuard();
+    AdmissionGuard(const AdmissionGuard&) = delete;
+    AdmissionGuard& operator=(const AdmissionGuard&) = delete;
+    ~AdmissionGuard() { sys_->ReleaseAdmission(tables_); }
 
    private:
-    SnapshotSystem* sys_ = nullptr;
+    SnapshotSystem* sys_;
     std::vector<TableId> tables_;
   };
   /// Admits a refresh over `tables` (sorted + deduped internally so

@@ -159,6 +159,8 @@ TEST_F(GroupRefreshTest, GroupMixedWithSingleRefreshes) {
 TEST_F(GroupRefreshTest, ValidationErrors) {
   EXPECT_TRUE(sys_.RefreshGroup({}).status().IsInvalidArgument());
   EXPECT_TRUE(sys_.RefreshGroup({"nope"}).status().IsNotFound());
+  // One session per member: a snapshot listed twice would supersede itself.
+  EXPECT_TRUE(sys_.RefreshGroup({"low", "low"}).status().IsInvalidArgument());
 
   SnapshotOptions full_opts;
   full_opts.method = RefreshMethod::kFull;

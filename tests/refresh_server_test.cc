@@ -417,6 +417,50 @@ TEST(RefreshServerTest, ConcurrentClientsAcrossBaseTables) {
   server.Stop();
 }
 
+TEST(RefreshServerTest, AsapRemoteClientIsRefusedAfterItsInitialCopy) {
+  SnapshotSystem sys;
+  auto base = sys.CreateBaseTable("emp", EmpSchema());
+  ASSERT_TRUE(base.ok());
+  std::vector<Address> addrs = Load(*base, 100);
+  SnapshotOptions asap;
+  asap.method = RefreshMethod::kAsap;
+  ASSERT_TRUE(sys.CreateSnapshot("low", "emp", "Salary < 50", asap).ok());
+
+  ServerOptions options;
+  options.listen_addr = UnixAddr("asap");
+  RefreshServer server(&sys, options);
+  ASSERT_TRUE(server.Start().ok());
+  auto site = RemoteSnapshotSite::Connect(server.bound_addr(), "low");
+  ASSERT_TRUE(site.ok());
+  ASSERT_TRUE((*site)->Refresh().ok());
+  ExpectReplicaFaithful(&sys, "low", (*site)->table());
+  const Timestamp snap_time = (*site)->table()->snap_time();
+  auto copy = (*site)->table()->Contents();
+  ASSERT_TRUE(copy.ok());
+
+  {
+    std::lock_guard<std::mutex> lock(sys.serve_mutex());
+    Churn(*base, &addrs, 1);
+  }
+  // ASAP changes stream only into the in-process site link, so a remote
+  // demand past the initial copy is refused rather than stamped stale.
+  auto second = (*site)->Refresh();
+  ASSERT_FALSE(second.ok());
+  EXPECT_NE(second.status().ToString().find("in-process only"),
+            std::string::npos)
+      << second.status().ToString();
+  EXPECT_EQ((*site)->table()->snap_time(), snap_time);
+  auto after = (*site)->table()->Contents();
+  ASSERT_TRUE(after.ok());
+  ASSERT_EQ(after->size(), copy->size());
+  for (const auto& [addr, row] : *copy) {
+    ASSERT_TRUE(after->contains(addr));
+    EXPECT_TRUE(after->at(addr).Equals(row));
+  }
+  EXPECT_EQ(server.stats().errors, 1u);
+  server.Stop();
+}
+
 TEST(RefreshServerTest, StopWakesIdleConnections) {
   SnapshotSystem sys;
   auto base = sys.CreateBaseTable("emp", EmpSchema());

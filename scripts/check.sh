@@ -80,7 +80,7 @@ cmake --build "${TSAN_BUILD_DIR}" -j "$(nproc)"
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
 
 ctest --test-dir "${TSAN_BUILD_DIR}" --output-on-failure -j "$(nproc)" \
-  -R 'ThreadPool|ParallelRefresh|Observability'
+  -R 'ThreadPool|ParallelRefresh|Observability|GroupRefresh|DeltaCache'
 
 ctest --test-dir "${TSAN_BUILD_DIR}" --output-on-failure -j "$(nproc)" \
   -L fault

@@ -92,6 +92,12 @@ class BatchingSender : public MessageSink {
   /// Transmits every pending batch (in snapshot-id order).
   Status Flush();
 
+  /// Forwards the sink's hint only when unbatched: a batch serializes
+  /// ahead of the send order, so a batching sender never elides.
+  bool NextSuppressed() const override {
+    return batch_size_ <= 1 && sink_->NextSuppressed();
+  }
+
   size_t batch_size() const { return batch_size_; }
 
  private:

@@ -121,6 +121,10 @@ class MessageSink {
  public:
   virtual ~MessageSink() = default;
   virtual Status Send(const Message& msg) = 0;
+  /// True when the next message sent here is certain to be dropped
+  /// unread (a resumed session's already-applied prefix), so an executor
+  /// may skip building its payload: only its sequence number matters.
+  virtual bool NextSuppressed() const { return false; }
 };
 
 /// Factories for the common shapes.

@@ -57,7 +57,7 @@ class RefreshSession : public MessageSink {
 
   /// True when the next message sent through this session is certain to be
   /// suppressed (fast-forward hint for payload elision).
-  bool NextSuppressed() const {
+  bool NextSuppressed() const override {
     return encoder_ == nullptr && next_seq_ + 1 <= resume_after_;
   }
 

@@ -130,7 +130,10 @@ Result<RemoteRefreshReport> RemoteSnapshotSite::Refresh() {
   }
 
   const SessionApplier::ApplyFn apply =
-      [&](const Message& msg, const Message&) -> Status {
+      [&](const Message& msg, const Message& arrived) -> Status {
+    // Receive-side traffic, metered over the message as it travelled (the
+    // rule in-process attribution uses).
+    CountMessage(arrived, arrived.SerializedSize(), &report.stats.traffic);
     if (options_.record_stream) {
       std::string bytes;
       msg.SerializeTo(&bytes);

@@ -42,7 +42,7 @@ struct RemoteSiteOptions {
 
 /// What one remote refresh did, seen from the client.
 struct RemoteRefreshReport {
-  RefreshStats stats;  // apply-side counters + new snap time
+  RefreshStats stats;  // apply-side counters, received traffic, snap time
   uint64_t session_id = 0;
   uint64_t reconnects = 0;
   /// RESUME negotiations that actually fast-forwarded (the server kept the

@@ -46,7 +46,6 @@ bool DeltaCache::CanServe(const BaseTable& base, uint64_t cut_tick,
 }
 
 Status DeltaCache::ServeGroup(const BaseTable& base, uint64_t cut_tick,
-                              const RefreshExecution& exec,
                               std::vector<ServeTarget>* targets) {
   SNAPDIFF_FR_SCOPED_SPAN(fr_span, "delta_cache.serve");
   std::lock_guard<std::mutex> lock(mu_);
@@ -109,7 +108,7 @@ Status DeltaCache::ServeGroup(const BaseTable& base, uint64_t cut_tick,
           const bool value_unchanged = row.ts <= t.snap_time;
           if (t.desc->anchor_optimization && value_unchanged) {
             ++t.stats->anchor_messages;
-          } else if (!NextSendSuppressed(exec)) {
+          } else if (!t.sink->NextSuppressed()) {
             payload = row.payload;
           }
           RETURN_IF_ERROR(t.sink->Send(

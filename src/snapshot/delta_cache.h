@@ -139,7 +139,6 @@ class DeltaCache {
   /// and marks `stats->served_from_cache`. Fails unless CanServe(base,
   /// cut_tick, ...) holds for every target.
   Status ServeGroup(const BaseTable& base, uint64_t cut_tick,
-                    const RefreshExecution& exec,
                     std::vector<ServeTarget>* targets);
 
   /// Meters one refresh that had to scan (image missing, stale or evicted).

@@ -127,13 +127,11 @@ FixupResult FixupRow(FixupState* fx, Address addr, Address stored_prev,
 /// `qualified_for(i)` answers whether member i's restriction admits the
 /// row; `payload_for(i, state)` produces member i's serialized projection
 /// and is invoked only when a payload must actually be shipped (so the
-/// sequential path stays lazy). Member i's messages go to `senders[i]` —
-/// the shared stream unless the member brought its own sink.
+/// sequential path stays lazy). Member i's messages go to `senders[i]`.
 template <typename QualFn, typename PayloadFn>
 Status ProcessRow(const FixupResult& fix, std::vector<MemberState>* states,
-                  const std::vector<BatchingSender*>& senders,
-                  const RefreshExecution& exec, Address addr,
-                  Address stored_prev, Timestamp stored_ts,
+                  const std::vector<std::unique_ptr<BatchingSender>>& senders,
+                  Address addr, Address stored_prev, Timestamp stored_ts,
                   QualFn&& qualified_for, PayloadFn&& payload_for) {
   // Pre-repair annotations prove whether the *value* changed (see the
   // anchor optimization): a non-NULL stamp with an intact PrevAddr means
@@ -163,7 +161,7 @@ Status ProcessRow(const FixupResult& fix, std::vector<MemberState>* states,
           // already holds this entry's current value, so ship the address
           // alone (SnapshotDescriptor::anchor_optimization).
           ++stats->anchor_messages;
-        } else if (!NextSendSuppressed(exec)) {
+        } else if (!senders[i]->NextSuppressed()) {
           ASSIGN_OR_RETURN(payload, payload_for(i, state));
         }
         RETURN_IF_ERROR(senders[i]->Send(
@@ -220,9 +218,9 @@ bool FillRowUnchanged(const FixupResult& fix, Address stored_prev,
 /// serialization is negligible, and the over-approximation guarantees the
 /// merge never needs a payload the worker skipped.
 
-/// Hard ceiling of the parallel-path group size: per-row member sets are
-/// packed into uint64_t bitmaps. RefreshExecution::max_parallel_members is
-/// clamped to this; larger groups fall back to the sequential scan.
+/// Ceiling of the parallel-path group size: per-row member sets are
+/// packed into uint64_t bitmaps, so larger groups fall back to the
+/// sequential scan.
 constexpr size_t kMemberBitmapWidth = 64;
 
 enum class Tri : uint8_t { kFalse, kTrue, kUnknown };
@@ -388,8 +386,8 @@ Status ObserveFills(std::vector<FillTarget>* fills, const FixupResult& fix,
 
 Status ExecuteGroupDifferentialRefresh(
     BaseTable* base, const TableEpoch& epoch,
-    std::vector<GroupRefreshMember>* members, MessageSink* channel,
-    obs::Tracer* tracer, const RefreshExecution& exec) {
+    std::vector<GroupRefreshMember>* members, obs::Tracer* tracer,
+    const RefreshExecution& exec) {
   if (base->mode() == AnnotationMode::kNone) {
     return Status::InvalidArgument(
         "differential refresh requires annotation columns");
@@ -403,32 +401,25 @@ Status ExecuteGroupDifferentialRefresh(
   }
   std::vector<MemberState> states;
   states.reserve(members->size());
+  // Each member streams into its own sink through its own batcher.
+  std::vector<std::unique_ptr<BatchingSender>> senders;
+  senders.reserve(members->size());
   for (GroupRefreshMember& m : *members) {
+    if (m.sink == nullptr) {
+      return Status::InvalidArgument("group member " + m.desc->name +
+                                     " has no sink");
+    }
     ASSIGN_OR_RETURN(std::vector<size_t> projection_indices,
                      base->ProjectionIndices(m.desc->projection));
     states.push_back(MemberState{m, std::move(projection_indices),
                                  Address::Origin(), false});
-  }
-
-  // Per-member output streams. A member that brought its own sink (a
-  // per-session stamped stream) batches independently; everyone else
-  // shares one sender over exec.session/channel, so the single-stream wire
-  // framing stays byte-identical to a session-less group.
-  BatchingSender shared_sender(StreamSink(exec, channel), exec.batch_size);
-  std::vector<std::unique_ptr<BatchingSender>> owned_senders;
-  std::vector<BatchingSender*> senders(states.size(), &shared_sender);
-  for (size_t i = 0; i < states.size(); ++i) {
-    if (states[i].member.sink != nullptr) {
-      owned_senders.push_back(std::make_unique<BatchingSender>(
-          states[i].member.sink, exec.batch_size));
-      senders[i] = owned_senders.back().get();
-    }
+    senders.push_back(
+        std::make_unique<BatchingSender>(m.sink, exec.batch_size));
   }
   // Drains every member's batch: one flush boundary after the whole
   // group's entries, on the scan and the cache-serve path alike.
   auto flush_senders = [&]() -> Status {
-    RETURN_IF_ERROR(shared_sender.Flush());
-    for (const auto& owned : owned_senders) RETURN_IF_ERROR(owned->Flush());
+    for (const auto& sender : senders) RETURN_IF_ERROR(sender->Flush());
     return Status::OK();
   };
   // "Handle deletions at end of BaseTable" + transmit the new SnapTime —
@@ -470,11 +461,11 @@ Status ExecuteGroupDifferentialRefresh(
       targets.reserve(states.size());
       for (size_t i = 0; i < states.size(); ++i) {
         targets.push_back(DeltaCache::ServeTarget{
-            states[i].member.desc, states[i].member.snap_time, senders[i],
-            states[i].member.stats, &states[i].last_qual});
+            states[i].member.desc, states[i].member.snap_time,
+            senders[i].get(), states[i].member.stats,
+            &states[i].last_qual});
       }
-      RETURN_IF_ERROR(
-          cache->ServeGroup(*base, epoch.cut_tick, exec, &targets));
+      RETURN_IF_ERROR(cache->ServeGroup(*base, epoch.cut_tick, &targets));
       RETURN_IF_ERROR(flush_senders());
       RETURN_IF_ERROR(send_ends());
       serve_span.Note("members", states.size());
@@ -532,10 +523,8 @@ Status ExecuteGroupDifferentialRefresh(
     return fix;
   };
 
-  const size_t max_parallel =
-      std::min<size_t>(exec.max_parallel_members, kMemberBitmapWidth);
   std::vector<BaseTable::ScanPartition> partitions;
-  if (exec.workers > 1 && states.size() <= max_parallel) {
+  if (exec.workers > 1 && states.size() <= kMemberBitmapWidth) {
     partitions = base->PartitionEpoch(epoch, exec.workers);
   }
 
@@ -600,8 +589,7 @@ Status ExecuteGroupDifferentialRefresh(
               return er.payloads[rep];  // copy: the transmit may move it
             }));
         RETURN_IF_ERROR(ProcessRow(
-            fix, &states, senders, exec, er.addr, er.stored_prev,
-            er.stored_ts,
+            fix, &states, senders, er.addr, er.stored_prev, er.stored_ts,
             [&er](size_t i) -> Result<bool> {
               return ((er.qualified >> i) & 1) != 0;
             },
@@ -653,8 +641,7 @@ Status ExecuteGroupDifferentialRefresh(
                 }));
           }
           return ProcessRow(
-              fix, &states, senders, exec, addr, row.prev_addr,
-              row.timestamp,
+              fix, &states, senders, addr, row.prev_addr, row.timestamp,
               [&](size_t i) -> Result<bool> {
                 return EvaluatePredicate(*states[i].member.desc->restriction,
                                          row.user, base->user_schema());
@@ -722,12 +709,11 @@ Status ExecuteGroupDifferentialRefresh(
 
 Status ExecuteDifferentialRefresh(BaseTable* base, const TableEpoch& epoch,
                                   SnapshotDescriptor* desc,
-                                  Timestamp snap_time, MessageSink* channel,
+                                  Timestamp snap_time, MessageSink* sink,
                                   RefreshStats* stats, obs::Tracer* tracer,
                                   const RefreshExecution& exec) {
-  std::vector<GroupRefreshMember> members{{desc, snap_time, stats}};
-  return ExecuteGroupDifferentialRefresh(base, epoch, &members, channel,
-                                         tracer, exec);
+  std::vector<GroupRefreshMember> members{{desc, snap_time, stats, sink}};
+  return ExecuteGroupDifferentialRefresh(base, epoch, &members, tracer, exec);
 }
 
 }  // namespace snapdiff

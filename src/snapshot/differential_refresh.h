@@ -51,22 +51,20 @@ namespace snapdiff {
 /// ENTRY_BATCH wire messages (see BatchingSender).
 Status ExecuteDifferentialRefresh(BaseTable* base, const TableEpoch& epoch,
                                   SnapshotDescriptor* desc,
-                                  Timestamp snap_time, MessageSink* channel,
+                                  Timestamp snap_time, MessageSink* sink,
                                   RefreshStats* stats,
                                   obs::Tracer* tracer = nullptr,
                                   const RefreshExecution& exec = {});
 
 /// One member of a group refresh: a snapshot being served, its SnapTime
-/// from the refresh request, and where to accumulate its meters.
+/// from the refresh request, where to accumulate its meters, and where its
+/// stream goes (required; typically a RefreshSession stamping session id +
+/// per-message seq). Each member batches through its own BatchingSender.
 struct GroupRefreshMember {
   SnapshotDescriptor* desc;
   Timestamp snap_time;
   RefreshStats* stats;
-  /// Non-null: this member's messages go through this sink (typically a
-  /// RefreshSession stamping session id + per-message seq) instead of the
-  /// shared exec.session/channel stream, each member batching
-  /// independently. Null keeps the legacy shared single-stream framing.
-  MessageSink* sink = nullptr;
+  MessageSink* sink;
 };
 
 /// Refreshes several snapshots of the same base table in ONE combined
@@ -76,10 +74,9 @@ struct GroupRefreshMember {
 /// Figure-3 transmit state (LastQual, Deletion flag) against its own
 /// SnapTime. All members receive the same new SnapTime.
 ///
-/// The parallel path (`exec.workers > 1`) supports groups of up to
-/// `exec.max_parallel_members` members (default and ceiling 64: per-row
-/// member sets are packed into 64-bit maps); larger groups silently fall
-/// back to the sequential scan.
+/// The parallel path (`exec.workers > 1`) supports groups of up to 64
+/// members (per-row member sets are packed into 64-bit maps); larger
+/// groups silently fall back to the sequential scan.
 ///
 /// With `exec.delta_cache` set, the executor first asks the cache whether
 /// *every* member's class image is current at the cut (`epoch.cut_tick`);
@@ -92,7 +89,6 @@ Status ExecuteGroupDifferentialRefresh(BaseTable* base,
                                        const TableEpoch& epoch,
                                        std::vector<GroupRefreshMember>*
                                            members,
-                                       MessageSink* channel,
                                        obs::Tracer* tracer = nullptr,
                                        const RefreshExecution& exec = {});
 

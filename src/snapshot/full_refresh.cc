@@ -9,12 +9,12 @@
 namespace snapdiff {
 
 Status ExecuteFullRefresh(BaseTable* base, const TableEpoch& epoch,
-                          SnapshotDescriptor* desc, MessageSink* channel,
+                          SnapshotDescriptor* desc, MessageSink* sink,
                           RefreshStats* stats, obs::Tracer* tracer,
                           const RefreshExecution& exec) {
   ASSIGN_OR_RETURN(const std::vector<size_t> projection_indices,
                    base->ProjectionIndices(desc->projection));
-  BatchingSender sender(StreamSink(exec, channel), exec.batch_size);
+  BatchingSender sender(sink, exec.batch_size);
 
   {
     obs::Tracer::Span clear_span(tracer, "clear");
@@ -122,7 +122,7 @@ Status ExecuteFullRefresh(BaseTable* base, const TableEpoch& epoch,
       // Serialized straight from the pinned view. On a resumed session's
       // fast-forward region the message only spends a sequence number.
       std::string payload;
-      if (!NextSendSuppressed(exec)) {
+      if (!sender.NextSuppressed()) {
         RETURN_IF_ERROR(
             row.user.AppendProjectionTo(projection_indices, &payload));
       }

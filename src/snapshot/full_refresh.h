@@ -19,7 +19,7 @@ namespace snapdiff {
 /// messages (the scan itself is cheap relative to re-transmission, so the
 /// full path does not parallelize; `exec.workers` is ignored).
 Status ExecuteFullRefresh(BaseTable* base, const TableEpoch& epoch,
-                          SnapshotDescriptor* desc, MessageSink* channel,
+                          SnapshotDescriptor* desc, MessageSink* sink,
                           RefreshStats* stats, obs::Tracer* tracer = nullptr,
                           const RefreshExecution& exec = {});
 

@@ -5,12 +5,10 @@
 namespace snapdiff {
 
 Status ExecuteIdealRefresh(BaseTable* base, const TableEpoch& epoch,
-                           SnapshotDescriptor* desc, MessageSink* channel,
-                           RefreshStats* stats, obs::Tracer* tracer,
-                           const RefreshExecution& exec) {
+                           SnapshotDescriptor* desc, MessageSink* sink,
+                           RefreshStats* stats, obs::Tracer* tracer) {
   ASSIGN_OR_RETURN(const std::vector<size_t> projection_indices,
                    base->ProjectionIndices(desc->projection));
-  MessageSink* sink = StreamSink(exec, channel);
 
   // Current qualified projection as of the epoch's cut.
   obs::Tracer::Span scan_span(tracer, "scan");

@@ -18,14 +18,14 @@ namespace snapdiff {
 ///
 /// The shadow advance is *staged* in desc->pending_ideal_shadow; the caller
 /// commits it once the snapshot site confirms the refresh applied (see
-/// SnapshotDescriptor). `exec.session` makes the transmission resumable
-/// (the delta iterates in deterministic address order); the batching and
-/// parallel knobs are ignored. The current projection is read at
-/// `epoch`'s cut, and END_OF_REFRESH carries `epoch.cut_time`.
+/// SnapshotDescriptor). A RefreshSession as `sink` makes the transmission
+/// resumable (the delta iterates in deterministic address order); it
+/// neither batches nor parallelizes. The current projection is read
+/// at `epoch`'s cut, and END_OF_REFRESH carries `epoch.cut_time`.
 Status ExecuteIdealRefresh(BaseTable* base, const TableEpoch& epoch,
-                           SnapshotDescriptor* desc, MessageSink* channel,
-                           RefreshStats* stats, obs::Tracer* tracer = nullptr,
-                           const RefreshExecution& exec = {});
+                           SnapshotDescriptor* desc, MessageSink* sink,
+                           RefreshStats* stats,
+                           obs::Tracer* tracer = nullptr);
 
 }  // namespace snapdiff
 

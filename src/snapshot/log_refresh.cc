@@ -6,7 +6,7 @@
 namespace snapdiff {
 
 Status ExecuteLogBasedRefresh(BaseTable* base, const TableEpoch& epoch,
-                              SnapshotDescriptor* desc, MessageSink* channel,
+                              SnapshotDescriptor* desc, MessageSink* sink,
                               RefreshStats* stats, obs::Tracer* tracer,
                               const RefreshExecution& exec) {
   if (base->wal() == nullptr) {
@@ -15,7 +15,6 @@ Status ExecuteLogBasedRefresh(BaseTable* base, const TableEpoch& epoch,
   }
   ASSIGN_OR_RETURN(Schema projected_schema,
                    base->user_schema().Project(desc->projection));
-  MessageSink* sink = StreamSink(exec, channel);
 
   // The cull (and the staged log-position advance) stop at the cut's LSN:
   // writers committing past the cut are invisible to this refresh and
@@ -36,7 +35,7 @@ Status ExecuteLogBasedRefresh(BaseTable* base, const TableEpoch& epoch,
     SNAPDIFF_LOG(Warn) << "log truncated past last refresh; falling back"
                        << obs::kv("snapshot", desc->name)
                        << obs::kv("last_refresh_lsn", desc->last_refresh_lsn);
-    RETURN_IF_ERROR(ExecuteFullRefresh(base, epoch, desc, channel, stats,
+    RETURN_IF_ERROR(ExecuteFullRefresh(base, epoch, desc, sink, stats,
                                        tracer, exec));
     desc->pending_refresh_lsn = epoch.cut_lsn;
     return Status::OK();
@@ -55,7 +54,7 @@ Status ExecuteLogBasedRefresh(BaseTable* base, const TableEpoch& epoch,
     ASSIGN_OR_RETURN(bool after_q, qualifies(change.after));
     if (after_q) {
       std::string payload;
-      if (!NextSendSuppressed(exec)) {
+      if (!sink->NextSuppressed()) {
         ASSIGN_OR_RETURN(Tuple after, Tuple::Deserialize(base->user_schema(),
                                                          change.after));
         ASSIGN_OR_RETURN(Tuple projected,

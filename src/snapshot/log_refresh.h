@@ -22,12 +22,12 @@ namespace snapdiff {
 ///
 /// The advance of the log position is *staged* in
 /// desc->pending_refresh_lsn; the caller commits it once the snapshot site
-/// confirms the refresh applied (see SnapshotDescriptor). `exec.session`
-/// makes the transmission resumable; only the batching/parallel knobs are
-/// ignored (the change list is already minimal). The cull stops at
+/// confirms the refresh applied (see SnapshotDescriptor). A RefreshSession
+/// as `sink` makes the transmission resumable; the batching/parallel knobs
+/// are ignored (the change list is already minimal). The cull stops at
 /// `epoch.cut_lsn`, and END_OF_REFRESH carries `epoch.cut_time`.
 Status ExecuteLogBasedRefresh(BaseTable* base, const TableEpoch& epoch,
-                              SnapshotDescriptor* desc, MessageSink* channel,
+                              SnapshotDescriptor* desc, MessageSink* sink,
                               RefreshStats* stats,
                               obs::Tracer* tracer = nullptr,
                               const RefreshExecution& exec = {});

@@ -12,7 +12,6 @@
 #include "common/types.h"
 #include "expr/expr.h"
 #include "net/channel.h"
-#include "net/refresh_session.h"
 
 namespace snapdiff {
 
@@ -35,39 +34,12 @@ struct RefreshExecution {
   /// batching and keeps the wire stream byte-identical to the unbatched
   /// protocol.
   size_t batch_size = 1;
-  /// Non-null: transmit through this resumable session (stamps session id +
-  /// sequence numbers, suppresses the already-applied prefix on a resumed
-  /// attempt). Null: send session-less, directly on the channel.
-  RefreshSession* session = nullptr;
-  /// Parallel-path group-size ceiling. Per-row member sets are packed into
-  /// 64-bit maps, so values above 64 are clamped to 64 (the compiled-in
-  /// bitmap width and the default); groups larger than this fall back to
-  /// the sequential scan. Exposed so benches and tests can force the
-  /// sequential path for large groups or shrink the cutover for A/B runs.
-  size_t max_parallel_members = 64;
   /// Non-null: the epoch delta cache consulted before the differential scan
   /// (a refresh whose class image is current is served from memory, zero
   /// base reads) and filled as a side effect of every scan that does run.
   /// See snapshot/delta_cache.h. Null disables caching entirely.
   DeltaCache* delta_cache = nullptr;
 };
-
-/// True when the next message an executor sends is certain to be
-/// suppressed by a resumed session, so building its payload would be pure
-/// waste. Exact only on the unbatched single-stream path: batching and the
-/// parallel extract serialize ahead of the send order, so they stay
-/// conservative and never elide.
-inline bool NextSendSuppressed(const RefreshExecution& exec) {
-  return exec.session != nullptr && exec.batch_size <= 1 &&
-         exec.session->NextSuppressed();
-}
-
-/// Where an executor's messages go: through the resumable session when one
-/// is set, else straight onto `channel`.
-inline MessageSink* StreamSink(const RefreshExecution& exec,
-                               MessageSink* channel) {
-  return exec.session != nullptr ? exec.session : channel;
-}
 
 /// Retry behaviour of SnapshotSystem::Refresh when the transmission fails
 /// (link partitioned) or completes with losses (messages dropped in

@@ -125,8 +125,7 @@ SnapshotSystem::SnapshotSystem(SnapshotSystemOptions options)
   }
 }
 
-RefreshExecution SnapshotSystem::MakeRefreshExecution(
-    RefreshSession* session) {
+RefreshExecution SnapshotSystem::MakeRefreshExecution() {
   RefreshExecution exec;
   exec.workers = std::max<size_t>(options_.refresh_workers, 1);
   exec.batch_size = std::max<size_t>(options_.refresh_batch_size, 1);
@@ -136,7 +135,6 @@ RefreshExecution SnapshotSystem::MakeRefreshExecution(
     }
     exec.pool = refresh_pool_.get();
   }
-  exec.session = session;
   exec.delta_cache = delta_cache_.get();
   return exec;
 }
@@ -642,7 +640,7 @@ Status SnapshotSystem::RunRefreshAttempt(
     const TableEpoch& epoch) {
   SnapshotDescriptor* desc = &entry->descriptor;
   BaseTable* base = entry->source;
-  const RefreshExecution exec = MakeRefreshExecution(session);
+  const RefreshExecution exec = MakeRefreshExecution();
   switch (method) {
     case RefreshMethod::kAsap:
       // The demand's SnapTime, not the local replica's: a remote client
@@ -678,8 +676,7 @@ Status SnapshotSystem::RunRefreshAttempt(
       return ExecuteDifferentialRefresh(base, epoch, desc, request_time,
                                         session, stats, tracer, exec);
     case RefreshMethod::kIdeal:
-      return ExecuteIdealRefresh(base, epoch, desc, session, stats, tracer,
-                                 exec);
+      return ExecuteIdealRefresh(base, epoch, desc, session, stats, tracer);
     case RefreshMethod::kLogBased:
       return ExecuteLogBasedRefresh(base, epoch, desc, session, stats,
                                     tracer, exec);
@@ -796,9 +793,8 @@ Status SnapshotSystem::ServeSessions(
                          &d.outcome.stats, &sessions[i]});
     }
     const obs::Tracer::Span span(tracer, "execute group-differential");
-    status = ExecuteGroupDifferentialRefresh(
-        base, *epoch, &members, demands->front().wire, tracer,
-        MakeRefreshExecution(nullptr));
+    status = ExecuteGroupDifferentialRefresh(base, *epoch, &members, tracer,
+                                             MakeRefreshExecution());
   }
   for (size_t i = 0; i < demands->size(); ++i) {
     (*demands)[i].outcome.last_seq = sessions[i].last_seq();
@@ -818,31 +814,15 @@ void SnapshotSystem::EvictSessions(const std::vector<SessionDemand>& demands) {
   }
 }
 
-Result<RefreshReport> SnapshotSystem::Refresh(const RefreshRequest& request) {
-  ASSIGN_OR_RETURN(SnapshotEntry * entry, GetEntry(request.snapshot));
-  SnapshotDescriptor* desc = &entry->descriptor;
-  SnapshotTable* snap = entry->table.get();
-  SnapshotSite* site = entry->site;
+Result<std::vector<RefreshReport>> SnapshotSystem::RefreshLocally(
+    const std::vector<SnapshotEntry*>& entries, RefreshMethod method,
+    const std::string& trace_name, const RefreshRequest& request) {
+  // Only a lone member retries: a retry RESUMEs one session.
+  SNAPDIFF_DCHECK(entries.size() == 1 || request.retry.max_retries == 0);
+  SnapshotSite* site = entries.front()->site;
   Channel* channel = &site->channel;
 
-  // Per-call method override: a snapshot refreshes by its own method or by
-  // full re-transmission (always safe; switching between incremental
-  // methods would desynchronize their per-method base-site state).
-  RefreshMethod method = desc->method;
-  if (request.method.has_value() && *request.method != desc->method) {
-    if (entry->join != nullptr || *request.method != RefreshMethod::kFull) {
-      return Status::InvalidArgument(
-          "refresh method override for " + request.snapshot + " must be " +
-          std::string(RefreshMethodToString(desc->method)) +
-          (entry->join != nullptr ? "" : " or full"));
-    }
-    method = RefreshMethod::kFull;
-  }
-
-  RefreshReport report;
-  const bool sessionless = entry->join != nullptr;
-
-  tracer_.Begin("refresh " + request.snapshot);
+  tracer_.Begin(trace_name);
   OnExit end_trace{[this] { if (tracer_.active()) tracer_.End(); }};
 
   // Deliver anything still in flight — ASAP streams, and the applied
@@ -860,11 +840,32 @@ Result<RefreshReport> SnapshotSystem::Refresh(const RefreshRequest& request) {
     heal.fn = [channel] { channel->Heal(); };
   }
 
-  // The demand: snapshot → base, carrying SnapTime + restriction.
+  // This call is a local client of the refresh core, like a remote site:
+  // one demand per member (snapshot → base, carrying SnapTime +
+  // restriction), then the first attempt opens the sessions and their
+  // epoch and a retry RESUMEs, so all attempts re-transmit one frozen cut.
+  std::vector<SessionDemand> demands(entries.size());
+  std::map<SnapshotId, RefreshStats*> attributed;
   obs::Tracer::Span request_span(&tracer_, "request");
-  RETURN_IF_ERROR(request_channel_.Send(MakeRefreshRequest(
-      desc->id, snap->snap_time(), desc->restriction_text)));
-  ASSIGN_OR_RETURN(Message demand, request_channel_.Receive());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    SnapshotEntry* entry = entries[i];
+    const SnapshotDescriptor& desc = entry->descriptor;
+    RETURN_IF_ERROR(request_channel_.Send(MakeRefreshRequest(
+        desc.id, entry->table->snap_time(), desc.restriction_text)));
+    ASSIGN_OR_RETURN(Message demand, request_channel_.Receive());
+    SessionDemand& d = demands[i];
+    d.entry = entry;
+    d.method = method;
+    d.wire = channel;
+    d.request.client_snap_time = demand.timestamp;
+    // Compact wire mode: both codec halves are local, so the generation a
+    // remote client carries in its demand is read off the site decoder. One
+    // encoder serves a whole group, so its memo encodes each message the
+    // shared scan fans out once.
+    if (entry->join == nullptr) d.request.encoder = site->encoder.get();
+    attributed[desc.id] = &d.outcome.stats;
+  }
+  request_span.Note("members", demands.size());
   request_span.Close();
 
   // ASAP delivery order vs. the cut: changes propagated after the epoch
@@ -872,41 +873,33 @@ Result<RefreshReport> SnapshotSystem::Refresh(const RefreshRequest& request) {
   // same row. Pause propagation into the buffer across the stream and
   // flush once the call ends; re-sent pre-cut changes are idempotent. A
   // failed flush (still-partitioned channel) leaves the messages buffered
-  // for the next flush.
+  // for the next flush. Only a lone member can be ASAP.
   OnExit resume_asap;
-  if (method == RefreshMethod::kAsap && entry->asap != nullptr) {
-    entry->asap->PauseToBuffer();
-    resume_asap.fn = [asap = entry->asap.get()] {
-      (void)asap->ResumeAndFlush();
-    };
+  AsapPropagator* asap = entries.front()->asap.get();
+  if (method == RefreshMethod::kAsap && asap != nullptr) {
+    asap->PauseToBuffer();
+    resume_asap.fn = [asap] { (void)asap->ResumeAndFlush(); };
   }
 
-  // This call is a local client of the refresh core, like a remote site:
-  // the first attempt opens the session and its epoch, every retry
-  // RESUMEs it, so all attempts re-transmit one frozen cut. Every exit but
-  // success evicts the session; success acknowledges it.
-  std::vector<SessionDemand> demands(1);
-  SessionDemand& local = demands.front();
-  local.entry = entry;
-  local.method = method;
-  local.wire = channel;
-  local.request.client_snap_time = demand.timestamp;
-  // Compact wire mode: both codec halves are local, so the generation a
-  // remote client carries in its demand is read off the site decoder.
-  WireEncoder* encoder = sessionless ? nullptr : site->encoder.get();
-  local.request.encoder = encoder;
-  RefreshStats& stats = local.outcome.stats;
+  // Every member whose END does not apply fails the call; its session and
+  // every other one not yet acknowledged are evicted.
   OnExit evict{[&] { EvictSessions(demands); }};
-
+  std::vector<RefreshReport> reports(entries.size());
+  RefreshReport call;  // the call's retry story, shared by every member
+  size_t acked = 0;    // members acknowledged so far, in member order
   const ChannelStats before = channel->stats();
-  const Timestamp initial_snap_time = snap->snap_time();
   for (;;) {
-    if (encoder != nullptr) {
-      local.request.client_codec_gen = site->decoder->generation(desc->id);
+    for (SessionDemand& d : demands) {
+      if (d.request.encoder != nullptr) {
+        d.request.client_codec_gen =
+            site->decoder->generation(d.entry->descriptor.id);
+      }
     }
     Status exec = ServeSessions(&demands, &tracer_, request.on_epoch_open);
-    report.session_id = local.outcome.session_id;
-    report.suppressed_messages += local.outcome.suppressed;
+    for (size_t i = 0; i < demands.size(); ++i) {
+      reports[i].session_id = demands[i].outcome.session_id;
+      reports[i].suppressed_messages += demands[i].outcome.suppressed;
+    }
     if (!exec.ok() && !exec.IsUnavailable()) return exec;
 
     Status failure = exec;
@@ -914,22 +907,43 @@ Result<RefreshReport> SnapshotSystem::Refresh(const RefreshRequest& request) {
       // Snapshot site: receive and apply.
       obs::Tracer::Span apply_span(&tracer_, "apply");
       ASSIGN_OR_RETURN(const uint64_t applied,
-                       DeliverPending(site, {{desc->id, &stats}}));
+                       DeliverPending(site, attributed));
       apply_span.Note("messages", applied);
       apply_span.Close();
-      // The transmission succeeded end-to-end only if the stream's END
-      // actually applied — with lossy delivery, executor success alone
-      // proves nothing. Session-less joins settle for the SnapTime stamp.
-      const bool complete =
-          sessionless ? snap->snap_time() != initial_snap_time
-                      : site->applier.Complete(desc->id, report.session_id);
-      if (complete) break;
-      failure = Status::Unavailable(
-          "refresh " + request.snapshot + " session " +
-          std::to_string(report.session_id) +
-          " incomplete: messages lost in transit");
+      // A stream succeeded end-to-end only if its END actually applied —
+      // with lossy delivery, executor success alone proves nothing.
+      // Session-less joins settle for the SnapTime stamp.
+      for (; acked < demands.size(); ++acked) {
+        SessionDemand& d = demands[acked];
+        const SnapshotDescriptor& desc = d.entry->descriptor;
+        const uint64_t session_id = d.outcome.session_id;
+        const bool sessionless = d.entry->join != nullptr;
+        const bool complete =
+            sessionless
+                ? d.entry->table->snap_time() != d.request.client_snap_time
+                : site->applier.Complete(desc.id, session_id);
+        if (!complete) {
+          failure = Status::Unavailable(
+              "refresh " + desc.name + " session " +
+              std::to_string(session_id) +
+              " incomplete: messages lost in transit");
+          break;
+        }
+        // The in-process analogue of SESSION_ACK: the encoder's folds and
+        // the staged outcome commit, and the session's lock and epoch are
+        // released. NotFound means a concurrent serve of this snapshot
+        // superseded the session; harmless, as on the serve path.
+        if (!sessionless) {
+          if (d.request.encoder != nullptr) {
+            d.request.encoder->CommitStream(desc.id, session_id);
+          }
+          (void)AcknowledgeServe(desc.id, session_id);
+        }
+        CountRefreshed(desc.name, *d.entry->table);
+      }
+      if (acked == demands.size()) break;
     }
-    if (report.retries >= request.retry.max_retries) {
+    if (call.retries >= request.retry.max_retries) {
       // Out of attempts. With retries disabled this preserves the classic
       // contract: the error surfaces and the partial prefix stays queued
       // for the next call's drain.
@@ -937,83 +951,115 @@ Result<RefreshReport> SnapshotSystem::Refresh(const RefreshRequest& request) {
     }
 
     // --- retry ---
-    ++report.retries;
-    ++report.attempts;
+    ++call.retries;
+    ++call.attempts;
     metric_refresh_retries_->Inc();
     obs::Tracer::Span retry_span(&tracer_, "retry");
     if (!exec.ok()) {
       // The attempt died mid-stream; deliver whatever arrived before the
       // fault so the site's resume checkpoint is current.
-      RETURN_IF_ERROR(DeliverPending(site, {{desc->id, &stats}}).status());
+      RETURN_IF_ERROR(DeliverPending(site, attributed).status());
     }
+    SessionDemand& lone = demands.front();
+    const SnapshotId id = lone.entry->descriptor.id;
+    const uint64_t session_id = lone.outcome.session_id;
     uint64_t resume_after = 0;
-    if (!sessionless && request.retry.resume) {
+    if (lone.entry->join == nullptr && request.retry.resume) {
       // RESUME_REFRESH negotiation: the snapshot site reports its durably
       // applied prefix over the demand link; the base re-runs the refresh
       // with that prefix suppressed.
-      const uint64_t checkpoint =
-          site->applier.LastApplied(desc->id, report.session_id);
+      const uint64_t checkpoint = site->applier.LastApplied(id, session_id);
       RETURN_IF_ERROR(request_channel_.Send(
-          MakeResumeRefresh(desc->id, report.session_id, checkpoint)));
+          MakeResumeRefresh(id, session_id, checkpoint)));
       ASSIGN_OR_RETURN(Message resume, request_channel_.Receive());
       resume_after = resume.seq;
       if (resume_after > 0) {
-        ++report.resumes;
+        ++call.resumes;
         metric_refresh_resumes_->Inc();
       }
     }
-    local.request.resume_session_id = report.session_id;
-    local.request.resume_after_seq = resume_after;
+    lone.request.resume_session_id = session_id;
+    lone.request.resume_after_seq = resume_after;
     // Capped exponential backoff in simulated ticks; advancing the link's
     // clock is also what fires FaultPlan::WithHealAfter.
     uint64_t backoff = request.retry.initial_backoff_ticks;
     for (uint64_t step = 1;
-         step < report.retries && backoff < request.retry.max_backoff_ticks;
+         step < call.retries && backoff < request.retry.max_backoff_ticks;
          ++step) {
       backoff *= 2;
     }
     backoff = std::min(backoff, request.retry.max_backoff_ticks);
-    report.backoff_ticks += backoff;
+    call.backoff_ticks += backoff;
     if (backoff > 0) channel->AdvanceTime(backoff);
-    retry_span.Note("attempt", report.attempts);
+    retry_span.Note("attempt", call.attempts);
     retry_span.Note("backoff_ticks", backoff);
     retry_span.Note("resume_after_seq", resume_after);
     retry_span.Close();
     SNAPDIFF_LOG(Warn) << "refresh retrying"
-                       << obs::kv("snapshot", request.snapshot)
-                       << obs::kv("session", report.session_id)
-                       << obs::kv("attempt", report.attempts)
+                       << obs::kv("snapshot", lone.entry->descriptor.name)
+                       << obs::kv("session", session_id)
+                       << obs::kv("attempt", call.attempts)
                        << obs::kv("resume_after_seq", resume_after)
                        << obs::kv("backoff_ticks", backoff)
                        << obs::kv("reason", failure.ToString());
-  }
-
-  // The link's send-side meters (drops and duplicates included) replace the
-  // receive-side attribution DeliverPending accumulated.
-  stats.traffic = channel->stats() - before;
-  // The site applied the session's END (that is what broke the loop) — the
-  // in-process analogue of SESSION_ACK: the encoder's folds and the staged
-  // outcome commit, and the session's lock and epoch are released.
-  // NotFound means a concurrent serve of this snapshot superseded the
-  // session; harmless, as on the serve path.
-  if (!sessionless) {
-    if (encoder != nullptr) encoder->CommitStream(desc->id, report.session_id);
-    (void)AcknowledgeServe(desc->id, report.session_id);
   }
   evict.fn = nullptr;
   tracer_.End();
   metric_refresh_duration_->Observe(
       static_cast<double>(tracer_.duration_us()));
-  CountRefreshed(request.snapshot, *snap);
-  SNAPDIFF_LOG(Info) << "refresh complete"
-                     << obs::kv("snapshot", request.snapshot)
-                     << obs::kv("method", RefreshMethodToString(desc->method))
-                     << obs::kv("messages", stats.traffic.messages)
-                     << obs::kv("wire_bytes", stats.traffic.wire_bytes)
-                     << obs::kv("duration_us", tracer_.duration_us());
-  report.trace_id = tracer_.name();
-  report.stats = std::move(stats);
-  return report;
+
+  // A lone member reports the link's send-side meters (drops and
+  // duplicates included) in place of its receive-side attribution. Group
+  // members keep their attribution, which sums to the burst's message
+  // totals; frames and wire bytes are whole-burst figures every member
+  // reports.
+  const ChannelStats burst = channel->stats() - before;
+  for (size_t i = 0; i < demands.size(); ++i) {
+    RefreshStats& stats = demands[i].outcome.stats;
+    if (demands.size() == 1) {
+      stats.traffic = burst;
+    } else {
+      stats.traffic.frames = burst.frames;
+      stats.traffic.wire_bytes = burst.wire_bytes;
+    }
+    const SnapshotDescriptor& desc = demands[i].entry->descriptor;
+    SNAPDIFF_LOG(Info) << "refresh complete"
+                       << obs::kv("snapshot", desc.name)
+                       << obs::kv("method", RefreshMethodToString(method))
+                       << obs::kv("messages", stats.traffic.messages)
+                       << obs::kv("wire_bytes", stats.traffic.wire_bytes)
+                       << obs::kv("duration_us", tracer_.duration_us());
+    RefreshReport& report = reports[i];
+    report.attempts = call.attempts;
+    report.retries = call.retries;
+    report.resumes = call.resumes;
+    report.backoff_ticks = call.backoff_ticks;
+    report.trace_id = tracer_.name();
+    report.stats = std::move(stats);
+  }
+  return reports;
+}
+
+Result<RefreshReport> SnapshotSystem::Refresh(const RefreshRequest& request) {
+  ASSIGN_OR_RETURN(SnapshotEntry * entry, GetEntry(request.snapshot));
+  const SnapshotDescriptor& desc = entry->descriptor;
+  // Per-call method override: a snapshot refreshes by its own method or by
+  // full re-transmission (always safe; switching between incremental
+  // methods would desynchronize their per-method base-site state).
+  RefreshMethod method = desc.method;
+  if (request.method.has_value() && *request.method != desc.method) {
+    if (entry->join != nullptr || *request.method != RefreshMethod::kFull) {
+      return Status::InvalidArgument(
+          "refresh method override for " + request.snapshot + " must be " +
+          std::string(RefreshMethodToString(desc.method)) +
+          (entry->join != nullptr ? "" : " or full"));
+    }
+    method = RefreshMethod::kFull;
+  }
+  ASSIGN_OR_RETURN(std::vector<RefreshReport> reports,
+                   RefreshLocally({entry}, method,
+                                  "refresh " + request.snapshot, request));
+  return std::move(reports.front());
 }
 
 void SnapshotSystem::CountRefreshed(const std::string& snapshot_name,
@@ -1143,94 +1189,14 @@ Result<std::map<std::string, RefreshStats>> SnapshotSystem::RefreshGroup(
     }
     entries.push_back(entry);
   }
-  SnapshotSite* group_site = entries.front()->site;
-
-  tracer_.Begin("refresh-group");
-  OnExit end_trace{[this] { if (tracer_.active()) tracer_.End(); }};
-
-  {
-    obs::Tracer::Span drain_span(&tracer_, "drain");
-    RETURN_IF_ERROR(DrainChannel());
-  }
-
-  std::map<SnapshotId, RefreshStats*> member_stats;
-  std::vector<SessionDemand> demands;
-  demands.reserve(entries.size());
-  obs::Tracer::Span request_span(&tracer_, "request");
-  // One encoder serves the whole group: the shared scan fans each row out to
-  // every member session, so the encode memo turns N near-identical encodes
-  // into one encode plus N−1 cache hits.
-  WireEncoder* group_encoder = group_site->encoder.get();
-  for (SnapshotEntry* entry : entries) {
-    const SnapshotId id = entry->descriptor.id;
-    RETURN_IF_ERROR(request_channel_.Send(MakeRefreshRequest(
-        id, entry->table->snap_time(), entry->descriptor.restriction_text)));
-    ASSIGN_OR_RETURN(Message request, request_channel_.Receive());
-    SessionDemand& d = demands.emplace_back();
-    d.entry = entry;
-    d.wire = &group_site->channel;
-    d.request.client_snap_time = request.timestamp;
-    d.request.encoder = group_encoder;
-    if (group_encoder != nullptr) {
-      d.request.client_codec_gen = group_site->decoder->generation(id);
-    }
-    member_stats[id] = &d.outcome.stats;
-  }
-  request_span.Note("members", demands.size());
-  request_span.Close();
-
-  // Every member whose END does not apply fails the group; its session and
-  // every other one not yet acknowledged are evicted.
-  OnExit evict{[&] { EvictSessions(demands); }};
-  Channel* channel = &group_site->channel;
-  const ChannelStats before = channel->stats();
-  RETURN_IF_ERROR(ServeSessions(&demands, &tracer_));
-  const ChannelStats total = channel->stats() - before;
-
-  // Receive and apply through the site's applier, attributing message
-  // counts per snapshot. Frames are a property of the whole burst; every
-  // member reports the total.
-  obs::Tracer::Span apply_span(&tracer_, "apply");
-  ASSIGN_OR_RETURN(const uint64_t applied,
-                   DeliverPending(group_site, member_stats));
-  apply_span.Note("messages", applied);
-  apply_span.Close();
-  // The per-member traffic attributions sum (via ChannelStats::operator+=)
-  // to the burst's data-message totals; frames/wire_bytes are whole-burst
-  // figures repeated per member, so the burst total is reported separately.
-  ChannelStats attributed;
+  // No policy: a group fails fast, and its members re-demand together.
+  ASSIGN_OR_RETURN(std::vector<RefreshReport> reports,
+                   RefreshLocally(entries, RefreshMethod::kDifferential,
+                                  "refresh-group", RefreshRequest{}));
   std::map<std::string, RefreshStats> results;
-  for (SessionDemand& d : demands) {
-    const SnapshotId id = d.entry->descriptor.id;
-    const uint64_t session_id = d.outcome.session_id;
-    if (!group_site->applier.Complete(id, session_id)) {
-      return Status::Unavailable(
-          "group refresh of " + d.entry->descriptor.name + " session " +
-          std::to_string(session_id) + " incomplete: messages lost in transit");
-    }
-    // Everything the member's stream carried has been applied: its encoder
-    // folds commit and its session is acknowledged.
-    if (group_encoder != nullptr) group_encoder->CommitStream(id, session_id);
-    (void)AcknowledgeServe(id, session_id);
-    RefreshStats& stats = d.outcome.stats;
-    stats.traffic.frames = total.frames;
-    stats.traffic.wire_bytes = total.wire_bytes;
-    attributed += stats.traffic;
-    CountRefreshed(d.entry->descriptor.name, *d.entry->table);
-    results[d.entry->descriptor.name] = std::move(stats);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    results[entries[i]->descriptor.name] = std::move(reports[i].stats);
   }
-  evict.fn = nullptr;
-
-  tracer_.End();
-  metric_refresh_duration_->Observe(
-      static_cast<double>(tracer_.duration_us()));
-  SNAPDIFF_LOG(Info) << "group refresh complete"
-                     << obs::kv("members", demands.size())
-                     << obs::kv("attributed_messages", attributed.messages)
-                     << obs::kv("attributed_payload_bytes",
-                                attributed.payload_bytes)
-                     << obs::kv("burst_wire_bytes", total.wire_bytes)
-                     << obs::kv("duration_us", tracer_.duration_us());
   return results;
 }
 

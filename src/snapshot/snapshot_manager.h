@@ -17,6 +17,7 @@
 #include "common/thread_pool.h"
 #include "net/channel.h"
 #include "net/encoding.h"
+#include "net/refresh_session.h"
 #include "net/session_applier.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -283,7 +284,9 @@ class SnapshotSystem {
   /// one combined scan, amortizing the sequential read and the fix-up
   /// writes over the group. Returns per-snapshot meters; message counts are
   /// attributed per snapshot on the receive side (frame accounting is
-  /// whole-burst and reported under every member).
+  /// whole-burst and reported under every member; a group of one reports
+  /// the link's send-side meters, as Refresh does). No retries: a group
+  /// fails fast on the first member whose END did not apply.
   Result<std::map<std::string, RefreshStats>> RefreshGroup(
       const std::vector<std::string>& snapshot_names);
 
@@ -426,6 +429,18 @@ class SnapshotSystem {
                        obs::Tracer* tracer,
                        const std::function<void()>& on_epoch_open = {});
 
+  /// THE local client of the refresh core, behind Refresh (one member) and
+  /// RefreshGroup: traces the call as `trace_name`, drains, sends one
+  /// demand per member, runs ServeSessions and applies the burst at the
+  /// members' one site, then acknowledges each member whose END applied.
+  /// Honors `request`'s fault window, retry policy (a lone member only;
+  /// every retry RESUMEs its session) and epoch hook. Every exit but
+  /// success evicts the sessions still live. Reports come back in member
+  /// order.
+  Result<std::vector<RefreshReport>> RefreshLocally(
+      const std::vector<SnapshotEntry*>& entries, RefreshMethod method,
+      const std::string& trace_name, const RefreshRequest& request);
+
   /// One single-table transmission attempt of `method` through `session`,
   /// reading `epoch`'s cut (whose cut_time becomes the new SnapTime).
   /// Per-method state advances (ideal shadow, log LSN) are staged on the
@@ -447,7 +462,7 @@ class SnapshotSystem {
 
   /// Execution knobs for the refresh executors, derived from options_.
   /// First call resolving workers > 1 constructs the shared pool.
-  RefreshExecution MakeRefreshExecution(RefreshSession* session);
+  RefreshExecution MakeRefreshExecution();
 
   /// Records one completed refresh of a snapshot in the metrics registry:
   /// refresh counters (global and per snapshot) and the staleness gauge.

@@ -503,6 +503,30 @@ TEST(RefreshSessionTest, ResumeSuppressesAppliedPrefix) {
   EXPECT_FALSE(ch.HasPending());
 }
 
+/// A batching sender forwards its session's suppression hint only while it
+/// passes messages straight through: a batch serializes ahead of the send
+/// order, so at batch size > 1 it never elides.
+TEST(RefreshSessionTest, BatchingSenderForwardsSuppressionOnlyUnbatched) {
+  for (size_t batch : {size_t{1}, size_t{8}}) {
+    Channel ch;
+    RefreshSession session(&ch, 9, /*resume_after_seq=*/3);
+    BatchingSender sender(&session, batch);
+    std::vector<bool> hints;
+    for (uint64_t i = 1; i <= 6; ++i) {
+      hints.push_back(sender.NextSuppressed());
+      ASSERT_TRUE(sender
+                      .Send(MakeEntry(1, Address::FromRaw(i),
+                                      Address::Origin(), "v"))
+                      .ok());
+    }
+    ASSERT_TRUE(sender.Flush().ok());
+    const std::vector<bool> expected =
+        batch == 1 ? std::vector<bool>{true, true, true, false, false, false}
+                   : std::vector<bool>(6, false);
+    EXPECT_EQ(hints, expected) << "batch " << batch;
+  }
+}
+
 TEST(ChannelTest, WireSurvivesRoundTrip) {
   Channel ch;
   Message original =

@@ -124,11 +124,11 @@ RunResult RunGroup(Harness* h, std::vector<SnapshotDescriptor>* descs,
   std::vector<GroupRefreshMember> members;
   members.reserve(which.size());
   for (size_t i = 0; i < which.size(); ++i) {
-    members.push_back(
-        {&(*descs)[which[i]], (*snap_times)[which[i]], &out.stats[i]});
+    members.push_back({&(*descs)[which[i]], (*snap_times)[which[i]],
+                       &out.stats[i], &channel});
   }
   out.status = ExecuteGroupDifferentialRefresh(
-      h->base, *h->base->OpenEpoch(), &members, &channel, nullptr, exec);
+      h->base, *h->base->OpenEpoch(), &members, nullptr, exec);
   while (channel.HasPending()) {
     auto m = channel.Receive();
     if (!m.ok()) {
@@ -390,8 +390,7 @@ TEST(DeltaCacheTest, FanOutStampsPerMemberSessions) {
       members.push_back({&descs[i], times[i], &stats[i], sessions[i]});
     }
     ASSERT_TRUE(ExecuteGroupDifferentialRefresh(h.base, *h.base->OpenEpoch(),
-                                                &members, &channel, nullptr,
-                                                Exec(&cache))
+                                                &members, nullptr, Exec(&cache))
                     .ok());
     uint64_t last_seq[3] = {0, 0, 0};
     bool ended[3] = {false, false, false};
@@ -421,9 +420,9 @@ TEST(DeltaCacheTest, FanOutStampsPerMemberSessions) {
   run(times, /*expect_cached=*/true);   // whole group served from memory
 }
 
-/// The exposed parallel-group ceiling: shrinking max_parallel_members below
-/// the group size must fall back to the sequential scan (observable via the
-/// worker meters) without changing the stream.
+/// The parallel-group ceiling is the member-bitmap width (64): a larger
+/// group must fall back to the sequential scan (observable via the worker
+/// meters) without changing the stream.
 TEST(DeltaCacheTest, MaxParallelMembersForcesSequentialFallback) {
   Harness a, b;
   a.Create();
@@ -432,38 +431,40 @@ TEST(DeltaCacheTest, MaxParallelMembersForcesSequentialFallback) {
   b.Populate(31, 1200);
   ThreadPool pool(4);
 
+  constexpr size_t kOverCeiling = 65;
   auto mk = [] {
+    const char* predicates[] = {"Salary < 10", "Salary >= 10 AND Salary < 20",
+                                "Salary >= 20"};
     std::vector<SnapshotDescriptor> d;
-    d.push_back(MakeDesc(1, "Salary < 10"));
-    d.push_back(MakeDesc(2, "Salary >= 10 AND Salary < 20"));
-    d.push_back(MakeDesc(3, "Salary >= 20"));
+    for (size_t i = 0; i < kOverCeiling; ++i) {
+      d.push_back(MakeDesc(i + 1, predicates[i % 3]));
+    }
     return d;
   };
   auto ad = mk();
   auto bd = mk();
-  std::vector<Timestamp> at(3, kNullTimestamp), bt(3, kNullTimestamp);
-
-  RefreshExecution capped = Exec(nullptr, 4, &pool, 1);
-  capped.max_parallel_members = 2;  // 3 members > 2: sequential fallback
+  std::vector<Timestamp> at(kOverCeiling, kNullTimestamp);
+  std::vector<Timestamp> bt(kOverCeiling, kNullTimestamp);
+  std::vector<size_t> all(kOverCeiling);
+  for (size_t i = 0; i < kOverCeiling; ++i) all[i] = i;
 
   obs::Counter* worker0 = obs::MetricsRegistry::Default().GetCounter(
       "snapshot.refresh.parallel.worker.0.rows");
   const uint64_t worker_rows_before = worker0->value();
-  RunResult capped_run = RunGroup(&a, &ad, &at, {0, 1, 2}, capped);
+  RunResult over_run = RunGroup(&a, &ad, &at, all, Exec(nullptr, 4, &pool, 1));
   EXPECT_EQ(worker0->value(), worker_rows_before)
-      << "capped group still ran partition workers";
+      << "a group over the ceiling still ran partition workers";
 
-  RunResult sequential = RunGroup(&b, &bd, &bt, {0, 1, 2}, Exec(nullptr));
-  ExpectSameWire(sequential, capped_run);
+  RunResult sequential = RunGroup(&b, &bd, &bt, all, Exec(nullptr));
+  ExpectSameWire(sequential, over_run);
 
   // At or under the ceiling the workers do run.
   a.Mutate(5, 50);
   b.Mutate(5, 50);
-  RefreshExecution under = Exec(nullptr, 4, &pool, 1);
-  under.max_parallel_members = 2;
-  RunResult parallel_run = RunGroup(&a, &ad, &at, {0, 1}, under);
-  EXPECT_GT(worker0->value(), worker_rows_before);
   std::vector<size_t> first_two = {0, 1};
+  RunResult parallel_run =
+      RunGroup(&a, &ad, &at, first_two, Exec(nullptr, 4, &pool, 1));
+  EXPECT_GT(worker0->value(), worker_rows_before);
   ExpectSameWire(RunGroup(&b, &bd, &bt, first_two, Exec(nullptr)),
                  parallel_run);
 }

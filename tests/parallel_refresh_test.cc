@@ -107,10 +107,11 @@ RunResult RunGroup(Harness* h, std::vector<SnapshotDescriptor>* descs,
   std::vector<GroupRefreshMember> members;
   members.reserve(descs->size());
   for (size_t i = 0; i < descs->size(); ++i) {
-    members.push_back({&(*descs)[i], (*snap_times)[i], &out.stats[i]});
+    members.push_back(
+        {&(*descs)[i], (*snap_times)[i], &out.stats[i], &channel});
   }
   out.status = ExecuteGroupDifferentialRefresh(
-      h->base, *h->base->OpenEpoch(), &members, &channel, nullptr, exec);
+      h->base, *h->base->OpenEpoch(), &members, nullptr, exec);
   while (channel.HasPending()) {
     auto m = channel.Receive();
     if (!m.ok()) {

@@ -6,6 +6,7 @@
 #include <cctype>
 #include <chrono>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -266,6 +267,101 @@ INSTANTIATE_TEST_SUITE_P(
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       }
       return name;
+    });
+
+/// One negotiated wire mode of a socket connection.
+struct WireMode {
+  const char* name;
+  bool encoding;
+  bool compression;
+};
+
+/// A remote client meters what it received the way in-process delivery
+/// does: a served refresh's message counts equal its in-process twin's
+/// under every wire encoding, and so do its payload bytes on the canonical
+/// wire (an encoded body depends on its encoder's shadow history).
+class RemoteTrafficTest : public ::testing::TestWithParam<WireMode> {};
+
+TEST_P(RemoteTrafficTest, ReportMatchesInProcessTwin) {
+  const WireMode mode = GetParam();
+  SnapshotSystemOptions twin_options;
+  twin_options.wire_encoding = mode.encoding;
+  twin_options.wire_compression = mode.compression;
+  SnapshotSystem twin(twin_options);
+  SnapshotSystem srv_sys;
+  auto twin_base = twin.CreateBaseTable("emp", EmpSchema());
+  auto srv_base = srv_sys.CreateBaseTable("emp", EmpSchema());
+  ASSERT_TRUE(twin_base.ok());
+  ASSERT_TRUE(srv_base.ok());
+  std::vector<Address> twin_addrs = Load(*twin_base, 80);
+  std::vector<Address> srv_addrs = Load(*srv_base, 80);
+  // Differential ships entries and END; ideal also ships DELETE messages.
+  SnapshotOptions ideal;
+  ideal.method = RefreshMethod::kIdeal;
+  for (SnapshotSystem* sys : {&twin, &srv_sys}) {
+    ASSERT_TRUE(sys->CreateSnapshot("diff", "emp", "Salary < 60").ok());
+    ASSERT_TRUE(sys->CreateSnapshot("ideal", "emp", "Salary < 60", ideal).ok());
+  }
+
+  ServerOptions server_options;
+  server_options.listen_addr = UnixAddr(std::string("traffic_") + mode.name);
+  server_options.wire_encoding = mode.encoding;
+  server_options.wire_compression = mode.compression;
+  RefreshServer server(&srv_sys, server_options);
+  ASSERT_TRUE(server.Start().ok());
+  RemoteSiteOptions site_options;
+  site_options.wire_encoding = mode.encoding;
+  site_options.wire_compression = mode.compression;
+  const std::vector<std::string> names = {"diff", "ideal"};
+  std::vector<std::unique_ptr<RemoteSnapshotSite>> sites;
+  for (const std::string& name : names) {
+    auto site =
+        RemoteSnapshotSite::Connect(server.bound_addr(), name, site_options);
+    ASSERT_TRUE(site.ok()) << site.status().ToString();
+    sites.push_back(std::move(*site));
+  }
+
+  uint64_t deletes = 0;
+  const auto expect_twin_traffic = [&](int round) {
+    for (size_t i = 0; i < names.size(); ++i) {
+      auto local = twin.Refresh(RefreshRequest::For(names[i]));
+      ASSERT_TRUE(local.ok()) << local.status().ToString();
+      auto remote = sites[i]->Refresh();
+      ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+      const ChannelStats& want = local->stats.traffic;
+      const ChannelStats& got = remote->stats.traffic;
+      const std::string where =
+          names[i] + " round " + std::to_string(round);
+      EXPECT_GT(got.messages, 0u) << where;
+      EXPECT_EQ(got.messages, want.messages) << where;
+      EXPECT_EQ(got.entry_messages, want.entry_messages) << where;
+      EXPECT_EQ(got.delete_messages, want.delete_messages) << where;
+      EXPECT_EQ(got.control_messages, want.control_messages) << where;
+      if (!mode.encoding) {
+        EXPECT_EQ(got.payload_bytes, want.payload_bytes) << where;
+      }
+      deletes += got.delete_messages;
+    }
+  };
+
+  expect_twin_traffic(1);
+  Churn(*twin_base, &twin_addrs, 1);
+  {
+    std::lock_guard<std::mutex> lock(srv_sys.serve_mutex());
+    Churn(*srv_base, &srv_addrs, 1);
+  }
+  expect_twin_traffic(2);
+  EXPECT_GT(deletes, 0u) << "the churn never exercised DELETE accounting";
+  server.Stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WireModes, RemoteTrafficTest,
+    ::testing::Values(WireMode{"canonical", false, false},
+                      WireMode{"encoded", true, false},
+                      WireMode{"encoded_lz", true, true}),
+    [](const ::testing::TestParamInfo<WireMode>& info) {
+      return std::string(info.param.name);
     });
 
 TEST(RefreshServerTest, MidRefreshDisconnectCompletesViaResume) {

@@ -45,7 +45,7 @@ set(expected
   "serving at unix:${SOCKET}"
   "refreshed low: "
   "attached rlow from unix:${SOCKET} \\(snapshot id 1\\)"
-  "refreshed rlow over low: "
+  "refreshed rlow over low: [^\n]*msgs=3 \\(entry=2 del=0 ctl=1\\)"
   "session [1-9][0-9]*: 3 applied, 0 reconnects, 0 resumes"
   "rlow \\(remote replica, SnapTime [0-9]+, 2 rows\\)"
   "trace: refresh low"
